@@ -15,7 +15,6 @@ from .model import (
     Normalization,
     SimResult,
     SubnetModel,
-    Window,
     build_model,
     load_model,
     save_model,
@@ -29,7 +28,7 @@ __all__ = [
     "AdamState", "GraphError", "IndexSet", "IoDataset", "KStepProfile",
     "MlpParams", "MlpSpec", "NoiseStructure", "Normalization", "NumericError",
     "SimResult", "SimSystemConfig", "SubnetModel", "Tape", "TrainConfig",
-    "TrainReport", "Window", "adam_step", "batch_iter", "build_model",
+    "TrainReport", "adam_step", "batch_iter", "build_model",
     "encoder_loss", "fit_normalization", "full_prediction_loss",
     "g_of_d", "generate_sim_system", "grad_check", "init_xavier",
     "kstep_nrms", "load_csv", "load_model", "mlp_forward", "nrms",

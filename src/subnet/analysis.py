@@ -47,6 +47,8 @@ def nrms(y_measured, y_predicted, skip=0):
 @dataclass
 class KStepProfile:
     values: np.ndarray  # NRMS_{k-step} for k = 0..k_max
+    t_idx: np.ndarray  # start times the predictions were made from
+    predictions: np.ndarray  # (len(t_idx), k_max+1, n_y), original units
     truncation_length: int | None = None  # marker position, when known
 
     def __len__(self):
@@ -64,12 +66,7 @@ def kstep_nrms(model, dataset, k_max, truncation_length=None):
     mse = np.mean((preds - y_true) ** 2, axis=0)  # (k_max+1, n_y)
     per_channel = np.sqrt(mse) / sigma
     values = np.sqrt(np.mean(per_channel**2, axis=1))
-    return KStepProfile(values=values, truncation_length=truncation_length)
-
-
-def section_autocorrelation(t, horizon):
-    """Autocorrelation of the section cost at the true parameters."""
-    return max(0.0, 1.0 - t / horizon)
+    return KStepProfile(values, t_idx, preds, truncation_length)
 
 
 def g_of_d(spacing, horizon, m_d):

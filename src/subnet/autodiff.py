@@ -7,9 +7,9 @@ order by construction, so gradient accumulation over fan-out is
 deterministic.
 
 Tapes are single-use: build the graph, call backward, throw the tape away.
-Parameters are registered by name; the registry records a flat
-(offset, length) layout so the gradient of the whole parameter set can be
-read back either per block or as one flat vector.
+Parameters are leaves registered by name over caller-owned arrays (used
+as-is, so a view of a larger buffer stays a view); `backward` returns one
+flat gradient per name.
 """
 
 from __future__ import annotations
@@ -68,13 +68,11 @@ class Node:
 
 
 class Tape:
-    """Ordered node list plus a parameter registry (name -> offset/length)."""
+    """Ordered node list plus the named parameter leaves."""
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
-        self.registry: dict[str, tuple[int, int]] = {}
-        self._next_offset = 0
 
     # -- construction -----------------------------------------------------
 
@@ -90,11 +88,8 @@ class Tape:
         """Register a named parameter. `value` is used as-is (no copy)."""
         if name in self.params:
             raise GraphError(f"parameter {name!r} registered twice")
-        value = _as_f64(value)
-        node = self._push("parameter", (), value)
+        node = self._push("parameter", (), _as_f64(value))
         self.params[name] = node
-        self.registry[name] = (self._next_offset, value.size)
-        self._next_offset += value.size
         return node
 
     def _binary(self, op, a, b):
@@ -155,81 +150,12 @@ class Tape:
             raise GraphError(f"concat: incompatible shapes {[p.shape for p in parts]}") from exc
         return self._push("concat", parts, value, aux=axis)
 
-    def slice(self, a, start, stop, axis=-1):
-        idx = [np.s_[:]] * a.value.ndim
-        axis = axis % a.value.ndim
-        idx[axis] = np.s_[start:stop]
-        value = a.value[tuple(idx)]
-        if value.size == 0:
-            raise GraphError(f"slice [{start}:{stop}] of shape {a.shape} is empty")
-        return self._push("slice", (a,), value, aux=(start, stop, axis))
-
-    def reshape(self, a, shape):
-        try:
-            value = a.value.reshape(shape)
-        except ValueError as exc:
-            raise GraphError(f"cannot reshape {a.shape} to {shape}") from exc
-        return self._push("reshape", (a,), value, aux=a.value.shape)
-
     def gather(self, a, rows):
         """Select rows of a 2-D node by integer index (duplicates allowed)."""
         if a.value.ndim != 2:
             raise GraphError(f"gather expects a 2-D node, got {a.shape}")
         rows = np.asarray(rows, dtype=np.intp)
         return self._push("gather", (a,), a.value[rows], aux=rows)
-
-    # -- evaluation --------------------------------------------------------
-
-    def forward(self, root):
-        """Re-evaluate all node values (parents first) and return root value.
-
-        Values are already populated eagerly at build time; this recompute
-        exists so that in-place changes to parameter buffers can be pushed
-        through an existing graph.
-        """
-        for n in self.nodes:
-            if n.idx > root.idx:
-                break
-            self._recompute(n)
-        return root.value
-
-    def _recompute(self, n):
-        p = n.parents
-        if n.op in ("constant", "parameter"):
-            return
-        if n.op == "add":
-            n.value = p[0].value + p[1].value
-        elif n.op == "sub":
-            n.value = p[0].value - p[1].value
-        elif n.op == "mul":
-            n.value = p[0].value * p[1].value
-        elif n.op == "scale":
-            n.value = p[0].value * n.aux
-        elif n.op == "affine":
-            n.value = p[0].value @ p[1].value.T + p[2].value
-        elif n.op == "tanh":
-            n.value = np.tanh(p[0].value)
-        elif n.op == "relu":
-            n.value = np.maximum(p[0].value, 0.0)
-        elif n.op == "sigmoid":
-            n.value = 1.0 / (1.0 + np.exp(-p[0].value))
-        elif n.op == "square":
-            n.value = p[0].value * p[0].value
-        elif n.op == "mean":
-            n.value = np.asarray(p[0].value.mean())
-        elif n.op == "concat":
-            n.value = np.concatenate([q.value for q in p], axis=n.aux)
-        elif n.op == "slice":
-            start, stop, axis = n.aux
-            idx = [np.s_[:]] * p[0].value.ndim
-            idx[axis] = np.s_[start:stop]
-            n.value = p[0].value[tuple(idx)]
-        elif n.op == "reshape":
-            n.value = p[0].value.reshape(n.value.shape)
-        elif n.op == "gather":
-            n.value = p[0].value[n.aux]
-        else:  # pragma: no cover
-            raise GraphError(f"unknown op {n.op!r}")
 
     # -- backward ----------------------------------------------------------
 
@@ -252,7 +178,7 @@ class Tape:
             if node.grad is None:
                 out[name] = np.zeros(node.value.size)
             else:
-                out[name] = node.grad.reshape(-1)
+                out[name] = node.grad.ravel()
         return out
 
     @staticmethod
@@ -301,15 +227,6 @@ class Tape:
                 idx[axis % g.ndim] = np.s_[pos : pos + width]
                 self._bump(q, g[tuple(idx)])
                 pos += width
-        elif n.op == "slice":
-            start, stop, axis = n.aux
-            gp = np.zeros(p[0].shape)
-            idx = [np.s_[:]] * gp.ndim
-            idx[axis] = np.s_[start:stop]
-            gp[tuple(idx)] = g
-            self._bump(p[0], gp)
-        elif n.op == "reshape":
-            self._bump(p[0], g.reshape(n.aux))
         elif n.op == "gather":
             gp = np.zeros(p[0].shape)
             np.add.at(gp, n.aux, g)

@@ -14,13 +14,7 @@ import csv
 
 import numpy as np
 
-from .loss import (
-    IndexSet,
-    batch_iter,  # noqa: F401  (re-exported for variant scripts)
-    full_prediction_loss,
-    trainable_state_loss,
-    valid_starts,
-)
+from .loss import full_prediction_loss, trainable_state_loss, valid_starts
 from .model import build_model
 from .optim import TrainConfig, fit_normalization, run_training_loop, train
 
@@ -55,12 +49,6 @@ def _variant_config(variant, config: TrainConfig):
     return TrainConfig(**{**config.__dict__, "spacing": spacing})
 
 
-def parameter_init_start_count(n_samples, horizon, spacing):
-    """Number of trainable initial states for a parameter-init variant."""
-    n_starts = n_samples - horizon + 1
-    return (n_starts + spacing - 1) // spacing
-
-
 def run_variant(variant, config: TrainConfig, train_ds, val_ds):
     """Train one comparison variant; returns (model, TrainReport).
 
@@ -91,15 +79,12 @@ def run_variant(variant, config: TrainConfig, train_ds, val_ds):
     n_samples = len(train_ds)
 
     if variant == "parameter-init-OE":
-        horizon = n_samples
-        starts = np.array([0])
-        spacing = 1
+        horizon, spacing = n_samples, 1
     else:
-        horizon = cfg.horizon
-        spacing = cfg.spacing
-        starts = np.arange(0, n_samples - horizon + 1, spacing)
-    index_set = IndexSet(starts, horizon, 0, spacing, n_samples)
-    states = np.zeros((len(starts), cfg.n_x))
+        horizon, spacing = cfg.horizon, cfg.spacing
+    # trainable states need no encoder window, so sections may start at 0
+    index_set = valid_starts(n_samples, horizon, 0, 0, spacing)
+    states = np.zeros((len(index_set), cfg.n_x))
 
     blocks = {k: v for k, v in model.param_blocks().items() if k != "psi"}
     blocks["x0"] = states.reshape(-1)

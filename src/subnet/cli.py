@@ -13,11 +13,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import shutil
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import analysis, baselines, data
 from .autodiff import NumericError
@@ -232,11 +229,11 @@ def cmd_eval(args, cfg):
                 )
 
     profile = analysis.kstep_nrms(model, test, k_max)
-    t_idx, preds = model.kstep_predictions(test, k_max)
+    preds = profile.predictions
     with open(out / "kstep.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "k", "y_hat", "y_measured"])
-        for i, t in enumerate(t_idx):
+        for i, t in enumerate(profile.t_idx):
             for k in range(k_max + 1):
                 for ch in range(test.n_y):
                     writer.writerow(
@@ -344,10 +341,6 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--seed", type=int, help="override config seed")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="BLAS thread cap; 1 (default) guarantees bit-reproducibility",
-    )
     parser.add_argument("--force", action="store_true", help="overwrite outputs")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", help="write train/val/test dataset CSVs")
@@ -358,15 +351,6 @@ def build_parser():
     sub.add_parser("compare", help="run baseline comparison variants")
     sub.add_parser("analyze", help="overlap variance analysis (analytic + MC)")
     return parser
-
-
-def _limit_threads(n):
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=n)
-    except ImportError:
-        pass
 
 
 COMMANDS = {
@@ -380,7 +364,6 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _limit_threads(args.threads)
     try:
         cfg = load_config(args.config)
         return COMMANDS[args.command](args, cfg)

@@ -11,8 +11,9 @@ PCG64 generator, reproducible across platforms).
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -192,9 +193,12 @@ def load_csv(path, n_u, n_y) -> IoDataset:
                     f"{path}:{lineno}: expected {len(expected)} cells, got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                values = [float(v) for v in row]
             except ValueError as exc:
                 raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
+            if not all(map(math.isfinite, values)):
+                raise CsvFormatError(f"{path}:{lineno}: non-finite value in {row}")
+            rows.append(values)
     if not rows:
         raise CsvFormatError(f"{path}: no data rows")
     arr = np.array(rows)

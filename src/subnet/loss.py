@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericError, Tape
-from .nets import mlp_graph
+from .nets import mlp_flat_grad, mlp_graph, mlp_leaves
 
 
 class EmptyIndexSetError(ValueError):
@@ -87,14 +87,14 @@ def rollout_loss_graph(tape: Tape, model, u_roll, y_roll, x0_node, param_nodes):
     """Differentiable batch rollout loss: mean_t v_t over the batch.
 
     `x0_node` is the (B, n_x) initial-state node (from the encoder graph or
-    a trainable-state gather); `param_nodes` maps block name -> tape node.
-    Returns the scalar loss node.
+    a trainable-state gather); `param_nodes` maps "f"/"h" to their block
+    leaves and "K" to the gain node. Returns the scalar loss node.
     """
     b, horizon = u_roll.shape[:2]
     n_y = model.n_y
     tag = model.noise.tag
     if tag == "linear-innovation":
-        gain = tape.reshape(param_nodes["K"], (model.n_x, n_y))
+        gain = param_nodes["K"]
         zero_x = tape.constant(np.zeros(model.n_x))
     errors = []
     x = x0_node
@@ -118,12 +118,24 @@ def rollout_loss_graph(tape: Tape, model, u_roll, y_roll, x0_node, param_nodes):
 
 
 def _register_model_params(tape, model, include_encoder=True):
-    nodes = {}
-    for name, flat in model.param_blocks().items():
-        if name == "psi" and not include_encoder:
-            continue
-        nodes[name] = tape.parameter(name, flat)
+    """Leaves for every block of f, h (and psi), plus the gain K when present."""
+    nets = {"f": model.f_params, "h": model.h_params}
+    if include_encoder:
+        nets["psi"] = model.psi_params
+    nodes = {name: mlp_leaves(tape, name, params) for name, params in nets.items()}
+    if model.noise.tag == "linear-innovation":
+        nodes["K"] = tape.parameter("K", model.noise.gain)
     return nodes
+
+
+def _backward(tape, root, model, names):
+    """One flat gradient per trainable block in `names` (f, h, psi, K, x0)."""
+    grads = tape.backward(root)
+    specs = {"f": model.f_spec, "h": model.h_spec, "psi": model.psi_spec}
+    return {
+        name: mlp_flat_grad(specs[name], name, grads) if name in specs else grads[name]
+        for name in names
+    }
 
 
 def _check_finite(loss, u_roll, y_roll, model, x0, starts):
@@ -175,7 +187,7 @@ def encoder_loss(model, u, y, starts, horizon, with_grad=False):
         _check_finite(loss, u_roll, y_roll, model, model.encode(u_enc, y_enc), starts)
     if not with_grad:
         return loss
-    return loss, tape.backward(root)
+    return loss, _backward(tape, root, model, params)
 
 
 def trainable_state_loss(
@@ -195,15 +207,15 @@ def trainable_state_loss(
     u_roll, y_roll = _roll_windows(u, y, starts, horizon)
     tape = Tape()
     params = _register_model_params(tape, model, include_encoder=False)
-    bank = tape.parameter("x0", states)
-    x0_node = tape.gather(bank, np.asarray(positions))
+    params["x0"] = tape.parameter("x0", states)
+    x0_node = tape.gather(params["x0"], np.asarray(positions))
     root = rollout_loss_graph(tape, model, u_roll, y_roll, x0_node, params)
     loss = float(root.value)
     if not np.isfinite(loss):
         _check_finite(loss, u_roll, y_roll, model, x0_node.value, starts)
     if not with_grad:
         return loss
-    return loss, tape.backward(root)
+    return loss, _backward(tape, root, model, params)
 
 
 def full_prediction_loss(model, u, y, x1, with_grad=False):

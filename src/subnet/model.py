@@ -79,31 +79,6 @@ class Normalization:
 
 
 @dataclass
-class Window:
-    """One training subsection: encoder slices plus a length-T rollout."""
-
-    start: int
-    u_enc: np.ndarray  # (n_b, n_u)
-    y_enc: np.ndarray  # (n_a+1, n_y)
-    u_roll: np.ndarray  # (T, n_u)
-    y_roll: np.ndarray  # (T, n_y)
-
-    @classmethod
-    def from_arrays(cls, u, y, start, horizon, n_a, n_b):
-        if start < max(n_a, n_b) or start + horizon > len(u):
-            raise ValueError(
-                f"window start {start} with T={horizon} out of range for N={len(u)}"
-            )
-        return cls(
-            start=start,
-            u_enc=u[start - n_b : start],
-            y_enc=y[start - n_a : start + 1],
-            u_roll=u[start : start + horizon],
-            y_roll=y[start : start + horizon],
-        )
-
-
-@dataclass
 class SimResult:
     y_sim: np.ndarray  # (N, n_y) in original units; first `skip` rows are NaN
     skip: int
@@ -251,14 +226,6 @@ class SubnetModel:
                 x = self.step(x, u_roll[:, k], e_hat[:, k])
         return y_hat, x_hat, e_hat
 
-    def rollout(self, window: Window):
-        """Predicted outputs/states/innovations over one normalized window."""
-        x0 = self.encode(window.u_enc, window.y_enc)
-        y_hat, x_hat, e_hat = self.rollout_batch(
-            x0[None], window.u_roll[None], window.y_roll[None], teacher_forced=True
-        )
-        return y_hat[0], x_hat[0], e_hat[0]
-
     # -- evaluation on raw-unit datasets -------------------------------------
 
     def _check_channels(self, dataset):
@@ -384,6 +351,34 @@ def build_model(
 # magic (6B) | version (1B) | header length (4B LE) | JSON header | payload
 # payload = concatenated little-endian float64 blocks in header["blocks"] order
 
+_HEADER_FIELDS = {
+    "n_x": int, "n_u": int, "n_y": int, "n_a": int, "n_b": int,
+    "noise": str, "f_spec": dict, "h_spec": dict, "psi_spec": dict,
+    "norm": dict, "blocks": list,
+}
+
+
+def _check_header(path, header):
+    """Every required header field is present with its JSON type."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
+    for key, kind in _HEADER_FIELDS.items():
+        if key not in header:
+            raise CheckpointError(f"{path}: header field {key!r} is missing")
+        value = header[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise CheckpointError(
+                f"{path}: header field {key!r} must be a JSON {kind.__name__}"
+            )
+    for entry in header["blocks"]:
+        if not (
+            isinstance(entry, list) and len(entry) == 2
+            and isinstance(entry[0], str) and type(entry[1]) is int and entry[1] >= 0
+        ):
+            raise CheckpointError(
+                f"{path}: header field 'blocks' has entry {entry!r}, not [name, size]"
+            )
+
 
 def save_model(model: SubnetModel, path):
     header = {
@@ -438,6 +433,7 @@ def load_model(path) -> SubnetModel:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     pos += header_len
+    _check_header(path, header)
     expected = sum(size for _name, size in header["blocks"]) * 8
     if len(raw) - pos != expected:
         raise CheckpointError(
@@ -449,22 +445,29 @@ def load_model(path) -> SubnetModel:
             np.float64
         )
         pos += size * 8
-    norm = Normalization(**{k: np.array(v) for k, v in header["norm"].items()})
-    f_spec = MlpSpec(**header["f_spec"])
-    h_spec = MlpSpec(**header["h_spec"])
-    psi_spec = MlpSpec(**header["psi_spec"])
-    noise_tag = header["noise"]
-    gain = (
-        values["K"].reshape(header["n_x"], header["n_y"])
-        if noise_tag == "linear-innovation"
-        else None
-    )
-    return SubnetModel(
-        header["n_x"], header["n_u"], header["n_y"], header["n_a"], header["n_b"],
-        f_spec, h_spec, psi_spec,
-        MlpParams(f_spec, values["f"]),
-        MlpParams(h_spec, values["h"]),
-        MlpParams(psi_spec, values["psi"]),
-        NoiseStructure(noise_tag, gain),
-        norm,
-    )
+    needed = ["f", "h", "psi"] + (["K"] if header["noise"] == "linear-innovation" else [])
+    for name in needed:
+        if name not in values:
+            raise CheckpointError(f"{path}: header field 'blocks' lacks block {name!r}")
+    try:
+        norm = Normalization(**{k: np.array(v) for k, v in header["norm"].items()})
+        f_spec = MlpSpec(**header["f_spec"])
+        h_spec = MlpSpec(**header["h_spec"])
+        psi_spec = MlpSpec(**header["psi_spec"])
+        noise_tag = header["noise"]
+        gain = (
+            values["K"].reshape(header["n_x"], header["n_y"])
+            if noise_tag == "linear-innovation"
+            else None
+        )
+        return SubnetModel(
+            header["n_x"], header["n_u"], header["n_y"], header["n_a"], header["n_b"],
+            f_spec, h_spec, psi_spec,
+            MlpParams(f_spec, values["f"]),
+            MlpParams(h_spec, values["h"]),
+            MlpParams(psi_spec, values["psi"]),
+            NoiseStructure(noise_tag, gain),
+            norm,
+        )
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: inconsistent header ({exc})") from exc

@@ -3,8 +3,10 @@
 A network is described by an immutable `MlpSpec`; its parameters live in a
 single flat float64 vector (`MlpParams`) with a fixed per-layer layout:
 weights then bias for each layer, then the bypass matrix when enabled.
-The same layout is used both for the plain numpy forward pass and for the
-autodiff graph builder, so the two evaluate the identical function.
+The plain numpy forward pass and the autodiff graph builder read the same
+block views, so the two evaluate the identical function; on a tape each
+block is its own parameter leaf, and `mlp_flat_grad` puts their gradients
+back together in layout order.
 """
 
 from __future__ import annotations
@@ -140,27 +142,39 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x):
     return z[0] if single else z
 
 
-def mlp_graph(tape, spec: MlpSpec, param_node, x_node):
-    """Build the forward pass on `tape`; `param_node` is the flat vector node."""
+def mlp_leaves(tape, name, params: MlpParams):
+    """Register every block of `params` on `tape` as parameter "<name>.<key>".
+
+    The leaves are views of `params.flat`, so nothing is copied. Returns
+    {key: node}, with the bypass layer's zero bias as one extra constant.
+    """
+    leaves = {
+        key: tape.parameter(f"{name}.{key}", params.view(key))
+        for key, _off, _shape in params.spec.layout()
+    }
+    if params.spec.bypass:
+        leaves["bypass_bias"] = tape.constant(np.zeros(params.spec.out_dim))
+    return leaves
+
+
+def mlp_flat_grad(spec: MlpSpec, name, grads):
+    """One flat gradient for the network registered as `name`, in layout order."""
+    return np.concatenate([grads[f"{name}.{key}"] for key, _off, _shape in spec.layout()])
+
+
+def mlp_graph(tape, spec: MlpSpec, leaves, x_node):
+    """Build the forward pass on `tape` from the block nodes of `mlp_leaves`."""
     if x_node.value.ndim != 2 or x_node.value.shape[1] != spec.in_dim:
         raise GraphError(
             f"mlp_graph expects (B, {spec.in_dim}) input, got {x_node.value.shape}"
         )
-    layout = {key: (off, shape) for key, off, shape in spec.layout()}
-
-    def block(key):
-        off, shape = layout[key]
-        sl = tape.slice(param_node, off, off + int(np.prod(shape)), axis=0)
-        return sl if len(shape) == 1 else tape.reshape(sl, shape)
-
     act = getattr(tape, spec.activation)
     n_layers = spec.hidden_layers + 1
     z = x_node
     for i in range(n_layers):
-        z = tape.affine(z, block(f"w{i}"), block(f"b{i}"))
+        z = tape.affine(z, leaves[f"w{i}"], leaves[f"b{i}"])
         if i < n_layers - 1:
             z = act(z)
     if spec.bypass:
-        zero_bias = tape.constant(np.zeros(spec.out_dim))
-        z = tape.add(z, tape.affine(x_node, block("bypass"), zero_bias))
+        z = tape.add(z, tape.affine(x_node, leaves["bypass"], leaves["bypass_bias"]))
     return z

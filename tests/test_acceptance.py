@@ -288,7 +288,7 @@ def test_criterion_9_determinism(tmp_path):
         }
         cfg_path = tmp_path / f"cfg_{run}.json"
         cfg_path.write_text(json.dumps(cfg))
-        assert cli_main(["--config", str(cfg_path), "--threads", "1", "train"]) == 0
+        assert cli_main(["--config", str(cfg_path), "train"]) == 0
         reports.append((out / "report.csv").read_bytes())
     check(9, "byte-identical training reports", reports[0] == reports[1],
           f"{len(reports[0])} bytes each")

@@ -11,7 +11,6 @@ from subnet.analysis import (
     mc_start_counts,
     nrms,
     overlap_variance_mc,
-    section_autocorrelation,
 )
 from subnet.data import IoDataset
 from subnet.loss import encoder_loss, valid_starts
@@ -79,12 +78,6 @@ def test_kstep_matches_encoder_loss_for_oe():
     loss = encoder_loss(model, ds.u, ds.y, idx.starts, horizon)
     sigma2 = ds.y[model.lag :].var()
     assert np.mean(profile.values**2) * sigma2 == pytest.approx(loss, rel=1e-10)
-
-
-def test_section_autocorrelation():
-    assert section_autocorrelation(0, 4) == 1.0
-    assert section_autocorrelation(2, 4) == 0.5
-    assert section_autocorrelation(9, 4) == 0.0
 
 
 def test_g_of_d_hand_value():

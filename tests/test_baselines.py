@@ -7,11 +7,11 @@ from subnet.baselines import (
     _variant_config,
     compare_report,
     evaluate_variant,
-    parameter_init_start_count,
     run_variant,
     write_compare_csv,
 )
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
+from subnet.loss import valid_starts
 from subnet.optim import TrainConfig
 
 TINY = dict(horizon=5, n_a=2, n_b=2, n_x=2, hidden_layers=1, hidden_width=6,
@@ -42,10 +42,18 @@ def test_variant_configs_differ_only_in_spacing():
 
 
 def test_parameter_init_start_count():
+    # parameter-init variants train one state per section; sections need no
+    # encoder window (lag 0), so there are ceil((N - T + 1) / d) of them
+    cfg = TrainConfig(**TINY)
     for n_samples, horizon in [(100, 7), (64, 8), (10, 3)]:
+        spacing = _variant_config(
+            "parameter-init-no-overlap", TrainConfig(**{**TINY, "horizon": horizon})
+        ).spacing
+        assert spacing == horizon
         expected = -(-(n_samples - horizon + 1) // horizon)
-        assert parameter_init_start_count(n_samples, horizon, horizon) == expected
-    assert parameter_init_start_count(100, 7, 1) == 94
+        assert len(valid_starts(n_samples, horizon, 0, 0, spacing)) == expected
+    assert _variant_config("parameter-init-overlap", cfg).spacing == 1
+    assert len(valid_starts(100, 7, 0, 0, 1)) == 94
 
 
 def test_unknown_variant_rejected():

@@ -5,7 +5,7 @@ import pytest
 
 from subnet.cli import main
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system, load_csv, save_csv
-from subnet.model import load_model
+from subnet.model import SubnetModel, load_model
 
 MODEL_CFG = {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 6}
 TRAIN_CFG = {"horizon": 4, "batch_size": 64, "max_epochs": 2, "patience": 50}
@@ -117,7 +117,7 @@ def test_train_determinism_byte_identical_reports(tmp_path, small_csvs):
         out = tmp_path / run
         cfg = write_config(tmp_path, train_cfg_dict(small_csvs, out, max_epochs=3),
                            name=f"cfg_{run}.json")
-        assert main(["--config", cfg, "--threads", "1", "train"]) == 0
+        assert main(["--config", cfg, "train"]) == 0
         reports.append((out / "report.csv").read_bytes())
     assert reports[0] == reports[1]
 
@@ -188,6 +188,54 @@ def test_eval_missing_checkpoint_is_io_error(tmp_path, small_csvs):
     assert main(
         ["--config", cfg, "eval", "--checkpoint", str(tmp_path / "missing.bin")]
     ) == 4
+
+
+def test_eval_computes_kstep_predictions_once(tmp_path, small_csvs, monkeypatch):
+    out = tmp_path / "run"
+    cfg_dict = train_cfg_dict(small_csvs, out, max_epochs=0)
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main(["--config", cfg, "train"]) == 0
+    calls = []
+    original = SubnetModel.kstep_predictions
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubnetModel, "kstep_predictions", counted)
+    assert main(
+        ["--config", cfg, "--force", "eval", "--checkpoint", str(out / "model.bin"),
+         "--kmax", "3"]
+    ) == 0
+    assert len(calls) == 1
+    rows = (out / "kstep.csv").read_text().splitlines()
+    assert len(rows) == 1 + (120 - 2 - 3) * 4  # header + starts x (k = 0..3)
+
+
+def test_eval_bad_checkpoint_header_is_io_error(tmp_path, small_csvs, capsys):
+    header = json.dumps({"blocks": []}).encode()
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"SSENC\x00\x01" + len(header).to_bytes(4, "little") + header)
+    cfg = write_config(tmp_path, train_cfg_dict(small_csvs, tmp_path / "run"))
+    assert main(["--config", cfg, "eval", "--checkpoint", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "is missing" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_eval_nonfinite_csv_is_io_error(tmp_path, small_csvs, capsys, cell):
+    out = tmp_path / "run"
+    cfg_dict = train_cfg_dict(small_csvs, out, max_epochs=0)
+    cfg = write_config(tmp_path, cfg_dict)
+    assert main(["--config", cfg, "train"]) == 0
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"u1,y1\n0.0,1.0\n{cell},1.0\n")
+    cfg_dict["data"]["test_csv"] = str(bad)
+    cfg2 = write_config(tmp_path, cfg_dict, name="bad_eval.json")
+    assert main(
+        ["--config", cfg2, "--force", "eval", "--checkpoint", str(out / "model.bin")]
+    ) == 4
+    assert f"{bad}:3: non-finite" in capsys.readouterr().err
 
 
 def test_compare_single_variant(tmp_path, small_csvs):

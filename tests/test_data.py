@@ -125,6 +125,14 @@ def test_csv_bad_cell_reports_line(tmp_path):
         load_csv(path, n_u=1, n_y=1)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_nonfinite_cell_reports_line(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"u1,y1\n0.0,1.0\n{cell},1.0\n")
+    with pytest.raises(CsvFormatError, match=f"{path}:3: non-finite"):
+        load_csv(path, n_u=1, n_y=1)
+
+
 def test_csv_wrong_cell_count(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("u1,y1\n0.0,1.0,2.0\n")

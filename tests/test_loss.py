@@ -29,10 +29,14 @@ def test_valid_starts_spacing_example():
 
 
 def test_valid_starts_counts_match_ceil():
-    for n_samples, horizon, lag, d in [(100, 7, 3, 1), (100, 7, 3, 7), (55, 5, 4, 3)]:
+    # lag 0 is the trainable-state (parameter-init) section set
+    cases = [(100, 7, 3, 1), (100, 7, 3, 7), (55, 5, 4, 3),
+             (100, 7, 0, 7), (64, 8, 0, 8), (10, 3, 0, 3)]
+    for n_samples, horizon, lag, d in cases:
         idx = valid_starts(n_samples, horizon, lag, lag, spacing=d)
         count = n_samples - horizon - lag + 1
         assert len(idx) == -(-count // d)
+    assert len(valid_starts(100, 7, 0, 0, spacing=1)) == 94
 
 
 def test_valid_starts_empty_raises():
@@ -161,6 +165,38 @@ def test_empty_index_subset_raises():
     model = linear_toy_model()
     with pytest.raises(EmptyIndexSetError):
         encoder_loss(model, np.zeros((10, 1)), np.zeros((10, 1)), np.array([]), 3)
+
+
+@pytest.mark.parametrize(
+    "noise", ["output-error", "linear-innovation", "general-innovation"]
+)
+def test_trainable_state_loss_gradients_tiny_model(noise):
+    # f, h (K) and the x0 bank, with one bank row used by two sections
+    model = build_model(2, 1, 1, 2, 2, noise=noise, hidden_layers=1,
+                        hidden_width=3, seed=1)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = [[0.2], [-0.1]]
+    rng = np.random.default_rng(6)
+    u = rng.normal(size=(20, 1))
+    y = rng.normal(size=(20, 1))
+    starts = np.array([0, 5, 5, 12])
+    positions = np.array([0, 1, 1, 2])
+    states = rng.normal(0, 0.3, size=(3, 2))
+    blocks = {k: v for k, v in model.param_blocks().items() if k != "psi"}
+    blocks["x0"] = states.reshape(-1)
+
+    def fn(params):
+        for name, flat in blocks.items():
+            flat[:] = params[name]
+        return trainable_state_loss(
+            model, u, y, starts, positions, states, 3, with_grad=True
+        )
+
+    report = grad_check(fn, {k: v.copy() for k, v in blocks.items()})
+    assert report.passed, report
+    _loss, grads = fn({k: v.copy() for k, v in blocks.items()})
+    assert list(grads) == list(blocks)
+    assert np.all(grads["x0"][2:4] != 0.0)  # the shared row
 
 
 def test_trainable_state_loss_gradients_flow():

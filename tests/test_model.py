@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from conftest import linear_toy_model, simulate_linear_toy
@@ -9,7 +11,6 @@ from subnet.data import IoDataset
 from subnet.model import (
     CheckpointError,
     Normalization,
-    Window,
     build_model,
     load_model,
     save_model,
@@ -110,14 +111,6 @@ def test_encode_locality():
     u2[n + 1 :] += 100.0
     y2[n + 1 :] -= 100.0
     assert np.array_equal(x0, model.initial_state(u2, y2))
-
-
-def test_window_bounds_check():
-    u = np.zeros((10, 1))
-    with pytest.raises(ValueError):
-        Window.from_arrays(u, u, start=1, horizon=3, n_a=2, n_b=2)
-    with pytest.raises(ValueError):
-        Window.from_arrays(u, u, start=8, horizon=3, n_a=2, n_b=2)
 
 
 @settings(max_examples=30, deadline=None)
@@ -222,6 +215,51 @@ def test_checkpoint_bad_version(tmp_path):
     raw[6] = 99  # version byte follows the 6-byte magic
     path.write_bytes(bytes(raw))
     with pytest.raises(CheckpointError, match="version"):
+        load_model(path)
+
+
+def _rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of the checkpoint at `path`."""
+    raw = path.read_bytes()
+    length = int.from_bytes(raw[7:11], "little")
+    header = json.loads(raw[11 : 11 + length])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:7] + len(new).to_bytes(4, "little") + new + raw[11 + length :])
+
+
+HEADER_FIELDS = (
+    "n_x", "n_u", "n_y", "n_a", "n_b", "noise",
+    "f_spec", "h_spec", "psi_spec", "norm", "blocks",
+)
+
+
+@pytest.mark.parametrize("field", HEADER_FIELDS)
+def test_checkpoint_missing_header_field(tmp_path, field):
+    path = tmp_path / "model.bin"
+    save_model(linear_toy_model(), path)
+    _rewrite_header(path, lambda header: header.pop(field))
+    with pytest.raises(CheckpointError, match=f"'{field}' is missing"):
+        load_model(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("n_x", "1", "must be a JSON int"),
+        ("n_a", True, "must be a JSON int"),
+        ("norm", [], "must be a JSON dict"),
+        ("blocks", [["f", -1]], "not \\[name, size\\]"),
+        ("blocks", [["f", 3], ["h", 2]], "payload size"),
+        ("f_spec", {"in_dim": 2}, "inconsistent header"),
+        ("noise", "linear-innovation", "lacks block 'K'"),
+    ],
+)
+def test_checkpoint_bad_header_field(tmp_path, field, value, message):
+    path = tmp_path / "model.bin"
+    save_model(linear_toy_model(), path)
+    _rewrite_header(path, lambda header: header.update({field: value}))
+    with pytest.raises(CheckpointError, match=message):
         load_model(path)
 
 

@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from subnet.autodiff import Tape
-from subnet.nets import MlpParams, MlpSpec, init_xavier, mlp_forward, mlp_graph, xavier_bound
+from subnet.autodiff import Tape, grad_check
+from subnet.nets import (
+    MlpParams,
+    MlpSpec,
+    init_xavier,
+    mlp_flat_grad,
+    mlp_forward,
+    mlp_graph,
+    mlp_leaves,
+    xavier_bound,
+)
 
 
 def test_xavier_bound_value():
@@ -102,9 +111,26 @@ def test_graph_matches_numpy_forward(activation, bypass):
     params = init_xavier(spec, 5)
     x = np.random.default_rng(6).normal(size=(4, 3))
     tape = Tape()
-    p_node = tape.parameter("p", params.flat)
-    out = mlp_graph(tape, spec, p_node, tape.constant(x))
+    leaves = mlp_leaves(tape, "p", params)
+    assert all(np.shares_memory(leaves[key].value, params.flat) for key, _, _ in spec.layout())
+    out = mlp_graph(tape, spec, leaves, tape.constant(x))
     assert np.allclose(out.value, mlp_forward(spec, params, x), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bypass", [True, False])
+def test_flat_gradient_matches_finite_differences(bypass):
+    # per-block leaf gradients reassembled in layout order give d loss / d flat
+    spec = MlpSpec(3, 2, hidden_layers=2, hidden_width=4, bypass=bypass)
+    x = np.random.default_rng(9).normal(size=(5, 3))
+
+    def fn(p):
+        tape = Tape()
+        leaves = mlp_leaves(tape, "net", MlpParams(spec, p["net"]))
+        root = tape.mean(tape.square(mlp_graph(tape, spec, leaves, tape.constant(x))))
+        return float(root.value), {"net": mlp_flat_grad(spec, "net", tape.backward(root))}
+
+    report = grad_check(fn, {"net": init_xavier(spec, 4).flat})
+    assert report.passed, report
 
 
 def test_forward_input_width_check():
