@@ -183,6 +183,10 @@ class Tape:
 
     @staticmethod
     def _bump(parent, grad):
+        # nothing reads a constant's gradient, and it has no parents to pass
+        # one on to, so constants keep grad None
+        if parent.op == "constant":
+            return
         # gradients are never mutated in place, so aliasing is safe here
         parent.grad = grad if parent.grad is None else parent.grad + grad
 

@@ -16,6 +16,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, baselines, data
 from .autodiff import NumericError
 from .model import CheckpointError, load_model
@@ -199,6 +201,24 @@ def cmd_train(args, cfg):
     return EXIT_OK
 
 
+_CHUNK_ROWS = 8192
+
+
+def _write_rows(path, header, fmt, columns):
+    """Write a header line, then row i as `fmt % (col[i] for col in columns)`.
+
+    Rows end in "\r\n" and floats use "%.17g", as `csv.writer` would write
+    them; no field here needs quoting. The rows are formatted a chunk at a
+    time, so the whole file is never held in memory as one string.
+    """
+    line = fmt + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n")
+        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
+            chunk = zip(*(col[lo : lo + _CHUNK_ROWS].tolist() for col in columns))
+            fh.write("".join([line % row for row in chunk]))
+
+
 def cmd_eval(args, cfg):
     out = _prepare_out(args, cfg)
     seed = _seed(args, cfg)
@@ -219,26 +239,25 @@ def cmd_eval(args, cfg):
     test_nrms = analysis.nrms(test.y[sim.skip :], sim.y_sim[sim.skip :])
     print(f"free-run NRMS: {test_nrms:.6g} ({100 * test_nrms:.4g}%)")
 
-    with open(out / "simulation.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y_measured", "y_sim"])
-        for t in range(len(test)):
-            for ch in range(test.n_y):
-                writer.writerow(
-                    [t, f"{test.y[t, ch]:.17g}", f"{sim.y_sim[t, ch]:.17g}"]
-                )
+    _write_rows(
+        out / "simulation.csv",
+        "t,y_measured,y_sim",
+        "%d,%.17g,%.17g",
+        [np.repeat(np.arange(len(test)), test.n_y), test.y.ravel(), sim.y_sim.ravel()],
+    )
 
     profile = analysis.kstep_nrms(model, test, k_max)
-    preds = profile.predictions
-    with open(out / "kstep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "k", "y_hat", "y_measured"])
-        for i, t in enumerate(profile.t_idx):
-            for k in range(k_max + 1):
-                for ch in range(test.n_y):
-                    writer.writerow(
-                        [t, k, f"{preds[i, k, ch]:.17g}", f"{test.y[t + k, ch]:.17g}"]
-                    )
+    _write_rows(
+        out / "kstep.csv",
+        "t,k,y_hat,y_measured",
+        "%d,%d,%.17g,%.17g",
+        [
+            np.repeat(profile.t_idx, (k_max + 1) * test.n_y),
+            np.tile(np.repeat(np.arange(k_max + 1), test.n_y), len(profile.t_idx)),
+            profile.predictions.ravel(),
+            test.y[profile.t_idx[:, None] + np.arange(k_max + 1)].ravel(),
+        ],
+    )
     with open(out / "kstep_nrms.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "nrms"])

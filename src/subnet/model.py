@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError
+from .loss import _enc_windows, _roll_windows
 from .nets import MlpParams, MlpSpec, init_xavier, mlp_forward
 
 NOISE_STRUCTURES = ("output-error", "linear-innovation", "general-innovation")
@@ -208,22 +209,30 @@ class SubnetModel:
         Innovations are y - y_hat when teacher_forced (requires y_roll) and
         zero otherwise (the innovation's conditional expectation).
         Returns (y_hat (B,T,n_y), x_hat (B,T,n_x), e_hat (B,T,n_y)).
+
+        The loop runs to the end with overflow and invalid-value warnings
+        silenced; afterwards one scan of y_hat raises `NumericError` at the
+        first step k whose prediction is non-finite in any batch row, with
+        `index=k`.
         """
         b, horizon = u_roll.shape[:2]
         y_hat = np.empty((b, horizon, self.n_y))
         x_hat = np.empty((b, horizon, self.n_x))
         e_hat = np.zeros((b, horizon, self.n_y))
         x = x0
-        for k in range(horizon):
-            x_hat[:, k] = x
-            yk = mlp_forward(self.h_spec, self.h_params, x)
-            y_hat[:, k] = yk
-            if teacher_forced:
-                e_hat[:, k] = y_roll[:, k] - yk
-            if not np.all(np.isfinite(yk)):
-                raise NumericError(f"non-finite prediction at step {k}", index=k)
-            if k + 1 < horizon:
-                x = self.step(x, u_roll[:, k], e_hat[:, k])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(horizon):
+                x_hat[:, k] = x
+                yk = mlp_forward(self.h_spec, self.h_params, x)
+                y_hat[:, k] = yk
+                if teacher_forced:
+                    e_hat[:, k] = y_roll[:, k] - yk
+                if k + 1 < horizon:
+                    x = self.step(x, u_roll[:, k], e_hat[:, k])
+        finite = np.isfinite(y_hat).all(axis=(0, 2))
+        if not finite.all():
+            k = int(np.argmin(finite))
+            raise NumericError(f"non-finite prediction at step {k}", index=k)
         return y_hat, x_hat, e_hat
 
     # -- evaluation on raw-unit datasets -------------------------------------
@@ -289,12 +298,8 @@ class SubnetModel:
         if init == "zero":
             x0 = np.zeros((len(t_idx), self.n_x))
         else:
-            u_enc = np.stack([u[t - self.n_b : t] for t in t_idx])
-            y_enc = np.stack([y[t - self.n_a : t + 1] for t in t_idx])
-            x0 = self.encode(u_enc, y_enc)
-        offs = np.arange(k_max + 1)
-        u_roll = u[t_idx[:, None] + offs]
-        y_roll = y[t_idx[:, None] + offs]
+            x0 = self.encode(*_enc_windows(u, y, t_idx, self.n_a, self.n_b))
+        u_roll, y_roll = _roll_windows(u, y, t_idx, k_max + 1)
         y_hat, _, _ = self.rollout_batch(x0, u_roll, y_roll, teacher_forced=True)
         return t_idx, self.norm.denorm_y(y_hat)
 

@@ -3,10 +3,12 @@
 A network is described by an immutable `MlpSpec`; its parameters live in a
 single flat float64 vector (`MlpParams`) with a fixed per-layer layout:
 weights then bias for each layer, then the bypass matrix when enabled.
-The plain numpy forward pass and the autodiff graph builder read the same
-block views, so the two evaluate the identical function; on a tape each
-block is its own parameter leaf, and `mlp_flat_grad` puts their gradients
-back together in layout order.
+`MlpParams` binds its block views to that vector once, at construction, so
+the vector must be updated in place and never rebound. The plain numpy
+forward pass and the autodiff graph builder read the same block views, so
+the two evaluate the identical function; on a tape each block is its own
+parameter leaf, and `mlp_flat_grad` puts their gradients back together in
+layout order.
 """
 
 from __future__ import annotations
@@ -83,7 +85,13 @@ class MlpSpec:
 
 
 class MlpParams:
-    """Flat parameter storage for one `MlpSpec`; `flat` may be a shared view."""
+    """Flat parameter storage for one `MlpSpec`; `flat` may be a shared view.
+
+    The block views (`view(key)`, and the transposed `layers` and `bypass_t`
+    that `mlp_forward` reads) are bound to `flat` once, here. Update `flat`
+    in place (`flat[:] = ...`, `flat -= ...`) and never rebind the
+    attribute: the views would keep reading the old buffer.
+    """
 
     def __init__(self, spec: MlpSpec, flat: np.ndarray):
         flat = np.asarray(flat, dtype=np.float64)
@@ -93,11 +101,20 @@ class MlpParams:
             )
         self.spec = spec
         self.flat = flat
-        self._layout = {key: (off, shape) for key, off, shape in spec.layout()}
+        self._views = {
+            key: flat[off : off + int(np.prod(shape))].reshape(shape)
+            for key, off, shape in spec.layout()
+        }
+        # (w.T, b) per layer; the transposes stay views, since a contiguous
+        # copy changes the matmul's summation order and so its last bits
+        self.layers = [
+            (self._views[f"w{i}"].T, self._views[f"b{i}"])
+            for i in range(spec.hidden_layers + 1)
+        ]
+        self.bypass_t = self._views["bypass"].T if spec.bypass else None
 
     def view(self, key):
-        off, shape = self._layout[key]
-        return self.flat[off : off + int(np.prod(shape))].reshape(shape)
+        return self._views[key]
 
     def copy(self):
         return MlpParams(self.spec, self.flat.copy())
@@ -131,14 +148,16 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x):
     if x.shape[1] != spec.in_dim:
         raise ValueError(f"input width {x.shape[1]} != in_dim {spec.in_dim}")
     act = _ACT_NP[spec.activation]
-    n_layers = spec.hidden_layers + 1
+    *hidden, (w_out_t, b_out) = params.layers
     z = x
-    for i in range(n_layers):
-        z = z @ params.view(f"w{i}").T + params.view(f"b{i}")
-        if i < n_layers - 1:
-            z = act(z)
-    if spec.bypass:
-        z = z + x @ params.view("bypass").T
+    for w_t, b in hidden:
+        z = z @ w_t
+        z += b
+        z = act(z)
+    z = z @ w_out_t
+    z += b_out
+    if params.bypass_t is not None:
+        z += x @ params.bypass_t
     return z[0] if single else z
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from subnet.cli import main
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system, load_csv, save_csv
-from subnet.model import SubnetModel, load_model
+from subnet.model import SubnetModel, build_model, load_model, save_model
 
 MODEL_CFG = {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 6}
 TRAIN_CFG = {"horizon": 4, "batch_size": 64, "max_epochs": 2, "patience": 50}
@@ -210,6 +211,48 @@ def test_eval_computes_kstep_predictions_once(tmp_path, small_csvs, monkeypatch)
     assert len(calls) == 1
     rows = (out / "kstep.csv").read_text().splitlines()
     assert len(rows) == 1 + (120 - 2 - 3) * 4  # header + starts x (k = 0..3)
+
+
+def test_eval_csvs_match_csv_writer_two_outputs(tmp_path):
+    # rows run t-major, then k, then output channel; the lag's warm-up rows
+    # of simulation.csv hold nan
+    rng = np.random.default_rng(3)
+    test = IoDataset(rng.normal(size=(40, 1)), rng.normal(size=(40, 2)))
+    save_csv(test, tmp_path / "test.csv")
+    save_model(
+        build_model(2, 1, 2, 3, 2, hidden_layers=1, hidden_width=6, seed=4),
+        tmp_path / "model.bin",
+    )
+    cfg = write_config(
+        tmp_path, {"data": {"test_csv": str(tmp_path / "test.csv"), "n_u": 1, "n_y": 2}}
+    )
+    out = tmp_path / "eval"
+    assert main(
+        ["--config", cfg, "--out", str(out), "eval",
+         "--checkpoint", str(tmp_path / "model.bin"), "--kmax", "3"]
+    ) == 0
+
+    model = load_model(tmp_path / "model.bin")
+    sim = model.simulate(test)
+    t_idx, preds = model.kstep_predictions(test, 3)
+    with open(tmp_path / "simulation.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y_measured", "y_sim"])
+        for t in range(len(test)):
+            for ch in range(2):
+                writer.writerow([t, f"{test.y[t, ch]:.17g}", f"{sim.y_sim[t, ch]:.17g}"])
+    with open(tmp_path / "kstep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "k", "y_hat", "y_measured"])
+        for i, t in enumerate(t_idx):
+            for k in range(4):
+                for ch in range(2):
+                    writer.writerow(
+                        [t, k, f"{preds[i, k, ch]:.17g}", f"{test.y[t + k, ch]:.17g}"]
+                    )
+    for name in ("simulation.csv", "kstep.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert (out / "simulation.csv").read_bytes().count(b",nan\r\n") == 3 * 2
 
 
 def test_eval_bad_checkpoint_header_is_io_error(tmp_path, small_csvs, capsys):

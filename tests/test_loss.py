@@ -4,7 +4,8 @@ from conftest import linear_toy_model, simulate_linear_toy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnet.autodiff import NumericError, grad_check
+from subnet import loss
+from subnet.autodiff import NumericError, Tape, grad_check
 from subnet.loss import (
     EmptyIndexSetError,
     batch_iter,
@@ -159,6 +160,47 @@ def test_encoder_loss_gradients_tiny_model(noise):
 
     report = grad_check(fn, {k: v.copy() for k, v in blocks.items()})
     assert report.passed, report
+
+
+@pytest.mark.parametrize(
+    "noise", ["output-error", "linear-innovation", "general-innovation"]
+)
+def test_backward_leaves_constants_without_gradient(noise, monkeypatch):
+    # the reference tape also accumulates into constants, as backward once
+    # did; the parameter gradients must not change by skipping that work
+    tapes = []
+
+    class Recording(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    class Accumulating(Recording):
+        @staticmethod
+        def _bump(parent, grad):
+            parent.grad = grad if parent.grad is None else parent.grad + grad
+
+    model = build_model(2, 1, 1, 2, 2, noise=noise, hidden_layers=1,
+                        hidden_width=3, seed=1)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = [[0.2], [-0.1]]
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(20, 1))
+    y = rng.normal(size=(20, 1))
+    starts = valid_starts(20, 3, 2, 2).starts
+
+    def constants():
+        return [n for n in tapes[-1].nodes if n.op == "constant"]
+
+    monkeypatch.setattr(loss, "Tape", Recording)
+    value, grads = encoder_loss(model, u, y, starts, 3, with_grad=True)
+    assert constants() and all(n.grad is None for n in constants())
+    monkeypatch.setattr(loss, "Tape", Accumulating)
+    ref_value, ref_grads = encoder_loss(model, u, y, starts, 3, with_grad=True)
+    assert all(n.grad is not None for n in constants())
+    assert value == ref_value
+    assert grads.keys() == ref_grads.keys()
+    assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
 
 
 def test_empty_index_subset_raises():

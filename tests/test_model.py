@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -165,11 +166,16 @@ def test_kstep_too_short_raises():
 
 
 def test_rollout_numeric_error_carries_step():
+    # row 0 predicts 0, 1, 1e200, then x_3 = 1e400 overflows; row 1 stays at
+    # 0. The overflow warns nothing, and the first non-finite step is named.
     model = linear_toy_model(a=1e200)
-    u = np.ones((1, 6, 1))
-    with pytest.raises(NumericError) as err:
-        model.rollout_batch(np.zeros((1, 1)), u, teacher_forced=False)
-    assert isinstance(err.value.index, int)
+    u = np.ones((2, 6, 1))
+    u[1] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite prediction at step 3") as err:
+            model.rollout_batch(np.zeros((2, 1)), u, teacher_forced=False)
+    assert err.value.index == 3
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from subnet.autodiff import Tape, grad_check
+from subnet.model import build_model
 from subnet.nets import (
     MlpParams,
     MlpSpec,
@@ -12,6 +13,7 @@ from subnet.nets import (
     mlp_leaves,
     xavier_bound,
 )
+from subnet.optim import AdamState, adam_step
 
 
 def test_xavier_bound_value():
@@ -131,6 +133,38 @@ def test_flat_gradient_matches_finite_differences(bypass):
 
     report = grad_check(fn, {"net": init_xavier(spec, 4).flat})
     assert report.passed, report
+
+
+def test_forward_sees_in_place_flat_updates():
+    # the block views are bound once, so the in-place writes of
+    # set_param_blocks and adam_step must reach mlp_forward through them
+    model = build_model(2, 1, 1, 2, 2, hidden_layers=2, hidden_width=5, seed=0)
+    rng = np.random.default_rng(1)
+    nets = [model.f_params, model.h_params, model.psi_params]
+    inputs = [rng.normal(size=(4, p.spec.in_dim)) for p in nets]
+
+    def outputs():
+        return [mlp_forward(p.spec, p, x) for p, x in zip(nets, inputs)]
+
+    def matches_fresh_params(got):
+        fresh = [
+            mlp_forward(p.spec, MlpParams(p.spec, p.flat.copy()), x)
+            for p, x in zip(nets, inputs)
+        ]
+        return all(np.array_equal(a, b) for a, b in zip(got, fresh))
+
+    before = outputs()
+    model.set_param_blocks(
+        {name: rng.normal(size=flat.size) for name, flat in model.param_blocks().items()}
+    )
+    after_set = outputs()
+    assert matches_fresh_params(after_set)
+    blocks = model.param_blocks()
+    adam_step(AdamState(lr=0.1), blocks, {name: np.ones_like(f) for name, f in blocks.items()})
+    after_adam = outputs()
+    assert matches_fresh_params(after_adam)
+    for old, new in ((before, after_set), (after_set, after_adam)):
+        assert not any(np.array_equal(a, b) for a, b in zip(old, new))
 
 
 def test_forward_input_width_check():
