@@ -10,6 +10,10 @@ Tapes are single-use: build the graph, call backward, throw the tape away.
 Parameters are leaves registered by name over caller-owned arrays (used
 as-is, so a view of a larger buffer stays a view); `backward` returns one
 flat gradient per name.
+
+`custom` records a whole computation whose gradient the caller derives by
+hand as one node: the losses record a complete rollout this way, so a
+T-step rollout costs one node instead of a per-step graph.
 """
 
 from __future__ import annotations
@@ -157,6 +161,14 @@ class Tape:
         rows = np.asarray(rows, dtype=np.intp)
         return self._push("gather", (a,), a.value[rows], aux=rows)
 
+    def custom(self, parents, value, backward):
+        """A node computed outside the tape, with a hand-written gradient.
+
+        `backward(g)` gets the node's gradient and returns one gradient per
+        parent, in order, each shaped like that parent's value.
+        """
+        return self._push("custom", tuple(parents), _as_f64(value), aux=backward)
+
     # -- backward ----------------------------------------------------------
 
     def backward(self, root):
@@ -231,6 +243,9 @@ class Tape:
                 idx[axis % g.ndim] = np.s_[pos : pos + width]
                 self._bump(q, g[tuple(idx)])
                 pos += width
+        elif n.op == "custom":
+            for q, gq in zip(p, n.aux(g), strict=True):
+                self._bump(q, gq)
         elif n.op == "gather":
             gp = np.zeros(p[0].shape)
             np.add.at(gp, n.aux, g)

@@ -7,6 +7,15 @@ spacing d keeps every d-th of them. The per-section loss is
 v_t = (1/T) sum_k ||y[t+k] - y_hat[t+k|t]||^2 and a batch loss is the plain
 mean of v_t over the batch, which keeps stochastic gradients unbiased
 regardless of batch size.
+
+A loss runs its forward pass through `SubnetModel.rollout_batch`, the same
+rollout that `simulate` and `kstep_predictions` use, with a cache of the
+per-step states, f inputs and hidden activations. The rollout is recorded
+on the tape as one node whose gradient is a hand-written backpropagation
+through time (the adjoint form of a simulation loss): a reverse-time loop
+over the state adjoint, then one matmul per weight block over all steps.
+Only the encoder psi and the trainable-state gather are built as tape
+graphs in front of that node.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericError, Tape
-from .nets import mlp_flat_grad, mlp_graph, mlp_leaves
+from .nets import mlp_backward, mlp_block_grads, mlp_flat_grad, mlp_graph, mlp_leaves
 
 
 class EmptyIndexSetError(ValueError):
@@ -83,38 +92,108 @@ def _enc_windows(u, y, starts, n_a, n_b):
     return u_enc, y_enc
 
 
-def rollout_loss_graph(tape: Tape, model, u_roll, y_roll, x0_node, param_nodes):
-    """Differentiable batch rollout loss: mean_t v_t over the batch.
+# rows per stacked backward call: enough to amortise the per-call overhead
+# over many B=1 steps, few enough that one call at B=256 covers one step,
+# since larger temporaries cost more than they save
+_CHUNK = 256
+
+
+def _rows(a):
+    """Stack the leading (T, B) axes of a cache buffer into T*B rows."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
+    """The batch rollout loss mean_t v_t as one tape node.
 
     `x0_node` is the (B, n_x) initial-state node (from the encoder graph or
     a trainable-state gather); `param_nodes` maps "f"/"h" to their block
-    leaves and "K" to the gain node. Returns the scalar loss node.
+    leaves and "K" to the gain node. These are the node's parents. Raises
+    `NumericError` naming the first diverging section of the batch when
+    the rollout or the loss is non-finite.
     """
     b, horizon = u_roll.shape[:2]
-    n_y = model.n_y
+    n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
     tag = model.noise.tag
-    if tag == "linear-innovation":
-        gain = param_nodes["K"]
-        zero_x = tape.constant(np.zeros(model.n_x))
-    errors = []
-    x = x0_node
-    for k in range(horizon):
-        y_hat = mlp_graph(tape, model.h_spec, param_nodes["h"], x)
-        err = tape.sub(tape.constant(y_roll[:, k]), y_hat)
-        errors.append(err)
-        if k + 1 < horizon:
-            u_k = tape.constant(u_roll[:, k])
-            if tag == "general-innovation":
-                z = tape.concat([x, u_k, err], axis=1)
-                x = mlp_graph(tape, model.f_spec, param_nodes["f"], z)
+    x0 = x0_node.value
+    cache = {}
+    try:
+        _, e_hat = model.rollout_batch(x0, u_roll, y_roll, cache=cache)
+        # the (B, T*n_y) layout of the per-step errors side by side; the
+        # mean over it times n_y is (1/(B*T)) sum ||err||^2
+        err = e_hat.reshape(b, -1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = np.asarray((err * err).mean()) * float(n_y)
+        if not np.isfinite(value):
+            raise NumericError("non-finite loss")
+    except NumericError:
+        raise _locate_divergence(model, u_roll, y_roll, x0, starts) from None
+
+    f, h = model.f_params, model.h_params
+    f_acts, h_acts = cache["f_acts"], cache["h_acts"]
+
+    def backward(g):
+        # adjoint of the errors, in the cache's (T, B, n_y) layout
+        d_err = e_hat.transpose(1, 0, 2) * (2.0 * float(g) * n_y / err.size)
+        g_y = np.empty_like(d_err)  # adjoint of y_hat: h's output adjoint
+        g_f = np.empty((horizon - 1, b, n_x))  # f's output adjoint
+        f_deltas = [np.empty_like(a) for a in f_acts]
+        h_deltas = [np.empty_like(a) for a in h_acts]
+        if tag == "output-error":
+            # the innovation feeds nothing, so h's backward runs ahead of the
+            # loop, over whole steps stacked into chunks of about _CHUNK rows
+            np.negative(d_err, out=g_y)
+            g_hx = np.empty((horizon, b, n_x))
+            step = max(1, _CHUNK // b)
+            for k in range(0, horizon, step):
+                c = slice(k, k + step)
+                g_hx[c] = mlp_backward(
+                    model.h_spec, h, _rows(g_y[c]), [_rows(a[c]) for a in h_acts],
+                    [_rows(d[c]) for d in h_deltas],
+                ).reshape(-1, b, n_x)
+        lam = None  # state adjoint of step k + 1
+        for k in reversed(range(horizon)):
+            if k + 1 < horizon:
+                g_f[k] = lam
+                g_z = mlp_backward(
+                    model.f_spec, f, lam, [a[k] for a in f_acts],
+                    [d[k] for d in f_deltas],
+                )
+            if tag == "output-error":
+                g_x = g_hx[k]
             else:
-                z = tape.concat([x, u_k], axis=1)
-                x = mlp_graph(tape, model.f_spec, param_nodes["f"], z)
-                if tag == "linear-innovation":
-                    x = tape.add(x, tape.affine(err, gain, zero_x))
-    stacked = errors[0] if horizon == 1 else tape.concat(errors, axis=1)
-    # mean over (B, T*n_y) elements times n_y = (1/(B*T)) sum ||err||^2
-    return tape.scale(tape.mean(tape.square(stacked)), n_y)
+                # the innovation e_k = y_k - h(x_k) also feeds step k + 1
+                g_e = d_err[k]
+                if k + 1 < horizon:
+                    if tag == "general-innovation":
+                        g_e = g_e + g_z[:, n_x + n_u :]
+                    else:
+                        g_e = g_e + lam @ model.noise.gain
+                np.negative(g_e, out=g_y[k])
+                g_x = mlp_backward(
+                    model.h_spec, h, g_y[k], [a[k] for a in h_acts],
+                    [d[k] for d in h_deltas],
+                )
+            lam = g_x if k + 1 == horizon else g_x + g_z[:, :n_x]
+        grads = [lam]
+        grads += mlp_block_grads(
+            model.f_spec, _rows(cache["f_in"]), [_rows(a) for a in f_acts],
+            [_rows(d) for d in f_deltas], _rows(g_f),
+        )
+        grads += mlp_block_grads(
+            model.h_spec, _rows(cache["x"]), [_rows(a) for a in h_acts],
+            [_rows(d) for d in h_deltas], _rows(g_y),
+        )
+        if tag == "linear-innovation":
+            grads.append(_rows(g_f).T @ _rows(e_hat.transpose(1, 0, 2)[:-1]))
+        return grads
+
+    parents = [x0_node]
+    for name, spec in (("f", model.f_spec), ("h", model.h_spec)):
+        parents += [param_nodes[name][key] for key, _off, _shape in spec.layout()]
+    if tag == "linear-innovation":
+        parents.append(param_nodes["K"])
+    return tape.custom(parents, value, backward)
 
 
 def _register_model_params(tape, model, include_encoder=True):
@@ -138,26 +217,18 @@ def _backward(tape, root, model, names):
     }
 
 
-def _check_finite(loss, u_roll, y_roll, model, x0, starts):
-    if np.isfinite(loss):
-        return
-    # find the offending section by re-rolling without gradients
+def _locate_divergence(model, u_roll, y_roll, x0, starts):
+    """The `NumericError` naming the first section whose rollout diverges."""
     for i, start in enumerate(np.asarray(starts)):
         try:
-            y_hat, _, _ = model.rollout_batch(
-                x0[i : i + 1], u_roll[i : i + 1], y_roll[i : i + 1]
-            )
+            model.rollout_batch(x0[i : i + 1], u_roll[i : i + 1], y_roll[i : i + 1])
         except NumericError as exc:
-            raise NumericError(
+            return NumericError(
                 f"numeric divergence in section starting at {start} "
                 f"(step {exc.index})",
                 index=int(start),
-            ) from exc
-        if not np.all(np.isfinite(y_hat)):
-            raise NumericError(
-                f"numeric divergence in section starting at {start}", index=int(start)
             )
-    raise NumericError("non-finite loss")
+    return NumericError("non-finite loss")
 
 
 def encoder_loss(model, u, y, starts, horizon, with_grad=False):
@@ -181,10 +252,8 @@ def encoder_loss(model, u, y, starts, horizon, with_grad=False):
         np.concatenate([u_enc.reshape(b, -1), y_enc.reshape(b, -1)], axis=1)
     )
     x0_node = mlp_graph(tape, model.psi_spec, params["psi"], enc_in)
-    root = rollout_loss_graph(tape, model, u_roll, y_roll, x0_node, params)
+    root = _rollout_loss(tape, model, u_roll, y_roll, x0_node, params, starts)
     loss = float(root.value)
-    if not np.isfinite(loss):
-        _check_finite(loss, u_roll, y_roll, model, model.encode(u_enc, y_enc), starts)
     if not with_grad:
         return loss
     return loss, _backward(tape, root, model, params)
@@ -209,10 +278,8 @@ def trainable_state_loss(
     params = _register_model_params(tape, model, include_encoder=False)
     params["x0"] = tape.parameter("x0", states)
     x0_node = tape.gather(params["x0"], np.asarray(positions))
-    root = rollout_loss_graph(tape, model, u_roll, y_roll, x0_node, params)
+    root = _rollout_loss(tape, model, u_roll, y_roll, x0_node, params, starts)
     loss = float(root.value)
-    if not np.isfinite(loss):
-        _check_finite(loss, u_roll, y_roll, model, x0_node.value, starts)
     if not with_grad:
         return loss
     return loss, _backward(tape, root, model, params)

@@ -192,23 +192,19 @@ class SubnetModel:
         x0 = mlp_forward(self.psi_spec, self.psi_params, z)
         return x0[0] if single else x0
 
-    def step(self, x, u, e):
-        """One normalized state update; all arguments batched (B, dim)."""
-        if self.noise.tag == "general-innovation":
-            return mlp_forward(
-                self.f_spec, self.f_params, np.concatenate([x, u, e], axis=1)
-            )
-        x_next = mlp_forward(self.f_spec, self.f_params, np.concatenate([x, u], axis=1))
-        if self.noise.tag == "linear-innovation":
-            x_next = x_next + e @ self.noise.gain.T
-        return x_next
-
-    def rollout_batch(self, x0, u_roll, y_roll=None, teacher_forced=True):
+    def rollout_batch(self, x0, u_roll, y_roll=None, teacher_forced=True, cache=None):
         """Roll the model forward from x0 (B, n_x) over u_roll (B, T, n_u).
 
         Innovations are y - y_hat when teacher_forced (requires y_roll) and
         zero otherwise (the innovation's conditional expectation).
-        Returns (y_hat (B,T,n_y), x_hat (B,T,n_x), e_hat (B,T,n_y)).
+        Returns (y_hat (B,T,n_y), e_hat (B,T,n_y)).
+
+        `cache`, when given, is a dict that receives what the loss adjoint
+        reads, in (T, B, .) buffers filled step by step: the states "x"
+        (T, B, n_x), the inputs of f "f_in" (T-1, B, f_in), and one buffer
+        per hidden layer of h "h_acts" (T, B, width) and of f "f_acts"
+        (T-1, B, width). Without a cache nothing more than the outputs is
+        stored.
 
         The loop runs to the end with overflow and invalid-value warnings
         silenced; afterwards one scan of y_hat raises `NumericError` at the
@@ -217,23 +213,47 @@ class SubnetModel:
         """
         b, horizon = u_roll.shape[:2]
         y_hat = np.empty((b, horizon, self.n_y))
-        x_hat = np.empty((b, horizon, self.n_x))
         e_hat = np.zeros((b, horizon, self.n_y))
+        tag = self.noise.tag
+        h_acts = f_acts = None
+        if cache is not None:
+            cache["x"] = np.empty((horizon, b, self.n_x))
+            cache["f_in"] = np.empty((horizon - 1, b, self.f_spec.in_dim))
+            cache["h_acts"] = [
+                np.empty((horizon, b, self.h_spec.hidden_width))
+                for _ in range(self.h_spec.hidden_layers)
+            ]
+            cache["f_acts"] = [
+                np.empty((horizon - 1, b, self.f_spec.hidden_width))
+                for _ in range(self.f_spec.hidden_layers)
+            ]
         x = x0
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(horizon):
-                x_hat[:, k] = x
-                yk = mlp_forward(self.h_spec, self.h_params, x)
+                if cache is not None:
+                    cache["x"][k] = x
+                    h_acts = [a[k] for a in cache["h_acts"]]
+                yk = mlp_forward(self.h_spec, self.h_params, x, h_acts)
                 y_hat[:, k] = yk
                 if teacher_forced:
                     e_hat[:, k] = y_roll[:, k] - yk
-                if k + 1 < horizon:
-                    x = self.step(x, u_roll[:, k], e_hat[:, k])
+                if k + 1 == horizon:
+                    break
+                if tag == "general-innovation":
+                    z = np.concatenate([x, u_roll[:, k], e_hat[:, k]], axis=1)
+                else:
+                    z = np.concatenate([x, u_roll[:, k]], axis=1)
+                if cache is not None:
+                    cache["f_in"][k] = z
+                    f_acts = [a[k] for a in cache["f_acts"]]
+                x = mlp_forward(self.f_spec, self.f_params, z, f_acts)
+                if tag == "linear-innovation":
+                    x = x + e_hat[:, k] @ self.noise.gain.T
         finite = np.isfinite(y_hat).all(axis=(0, 2))
         if not finite.all():
             k = int(np.argmin(finite))
             raise NumericError(f"non-finite prediction at step {k}", index=k)
-        return y_hat, x_hat, e_hat
+        return y_hat, e_hat
 
     # -- evaluation on raw-unit datasets -------------------------------------
 
@@ -267,7 +287,7 @@ class SubnetModel:
         u = self.norm.norm_u(dataset.u)
         y = self.norm.norm_y(dataset.y)
         x = self.initial_state(u, y, init=init)[None]
-        y_hat, _, _ = self.rollout_batch(
+        y_hat, _ = self.rollout_batch(
             x,
             u[None, n:],
             y[None, n:] if mode == "teacher-forced" else None,
@@ -300,7 +320,7 @@ class SubnetModel:
         else:
             x0 = self.encode(*_enc_windows(u, y, t_idx, self.n_a, self.n_b))
         u_roll, y_roll = _roll_windows(u, y, t_idx, k_max + 1)
-        y_hat, _, _ = self.rollout_batch(x0, u_roll, y_roll, teacher_forced=True)
+        y_hat, _ = self.rollout_batch(x0, u_roll, y_roll, teacher_forced=True)
         return t_idx, self.norm.denorm_y(y_hat)
 
 

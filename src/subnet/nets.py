@@ -9,6 +9,12 @@ forward pass and the autodiff graph builder read the same block views, so
 the two evaluate the identical function; on a tape each block is its own
 parameter leaf, and `mlp_flat_grad` puts their gradients back together in
 layout order.
+
+The rollout is differentiated by hand instead: `mlp_forward` copies each
+hidden activation into a caller's buffer, `mlp_backward` turns an output
+adjoint into the input adjoint and stores every hidden layer's delta, and
+`mlp_block_grads` forms each weight block's gradient with one matmul over
+the deltas and inputs of all steps stacked into (T*B, .) rows.
 """
 
 from __future__ import annotations
@@ -26,6 +32,24 @@ _ACT_NP = {
     "relu": lambda v: np.maximum(v, 0.0),
     "sigmoid": lambda v: 1.0 / (1.0 + np.exp(-v)),
 }
+
+
+def _tanh_grad(a, out):
+    np.multiply(a, a, out=out)
+    np.subtract(1.0, out, out=out)
+
+
+def _relu_grad(a, out):
+    np.greater(a, 0.0, out=out)
+
+
+def _sigmoid_grad(a, out):
+    np.subtract(1.0, a, out=out)
+    out *= a
+
+
+# derivative of each activation from its output a, written into `out`
+_ACT_GRAD = {"tanh": _tanh_grad, "relu": _relu_grad, "sigmoid": _sigmoid_grad}
 
 
 @dataclass(frozen=True)
@@ -139,8 +163,12 @@ def init_xavier(spec: MlpSpec, rng) -> MlpParams:
     return params
 
 
-def mlp_forward(spec: MlpSpec, params: MlpParams, x):
-    """Plain numpy forward pass; accepts (in,) or batched (B, in) input."""
+def mlp_forward(spec: MlpSpec, params: MlpParams, x, acts=None):
+    """Plain numpy forward pass; accepts (in,) or batched (B, in) input.
+
+    `acts`, when given, holds one (B, hidden_width) buffer per hidden layer,
+    and each hidden activation is copied into it for `mlp_backward`.
+    """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
@@ -150,10 +178,12 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x):
     act = _ACT_NP[spec.activation]
     *hidden, (w_out_t, b_out) = params.layers
     z = x
-    for w_t, b in hidden:
+    for i, (w_t, b) in enumerate(hidden):
         z = z @ w_t
         z += b
         z = act(z)
+        if acts is not None:
+            acts[i][...] = z
     z = z @ w_out_t
     z += b_out
     if params.bypass_t is not None:
@@ -161,19 +191,55 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x):
     return z[0] if single else z
 
 
+def mlp_backward(spec: MlpSpec, params: MlpParams, g, acts, deltas):
+    """Input adjoint of `mlp_forward` for the output adjoint g (B, out_dim).
+
+    `acts` are the hidden activations `mlp_forward` cached for this input;
+    each hidden layer's delta (the adjoint of its pre-activation) is stored
+    into `deltas`, one (B, hidden_width) buffer per hidden layer. The output
+    layer's delta is g itself.
+    """
+    d_act = _ACT_GRAD[spec.activation]
+    # every hidden-layer step writes into preallocated buffers: fresh
+    # (B, width) temporaries cost more than the arithmetic at B=256
+    tmp = np.empty_like(deltas[0]) if deltas else None
+    delta = g
+    for i in reversed(range(spec.hidden_layers)):
+        np.matmul(delta, params.view(f"w{i + 1}"), out=deltas[i])
+        d_act(acts[i], tmp)
+        deltas[i] *= tmp
+        delta = deltas[i]
+    g_in = delta @ params.view("w0")
+    if spec.bypass:
+        g_in += g @ params.view("bypass")
+    return g_in
+
+
+def mlp_block_grads(spec: MlpSpec, x, acts, deltas, g):
+    """Gradient of every parameter block, in layout order, from stacked rows.
+
+    `x` (N, in_dim) are the inputs, `acts` and `deltas` the hidden
+    activations and deltas (N, hidden_width) and `g` the output adjoint
+    (N, out_dim) of N forward passes; their gradients are summed.
+    """
+    grads = []
+    for a, d in zip([x, *acts], [*deltas, g]):
+        grads += [d.T @ a, d.sum(axis=0)]
+    if spec.bypass:
+        grads.append(g.T @ x)
+    return grads
+
+
 def mlp_leaves(tape, name, params: MlpParams):
     """Register every block of `params` on `tape` as parameter "<name>.<key>".
 
     The leaves are views of `params.flat`, so nothing is copied. Returns
-    {key: node}, with the bypass layer's zero bias as one extra constant.
+    {key: node}.
     """
-    leaves = {
+    return {
         key: tape.parameter(f"{name}.{key}", params.view(key))
         for key, _off, _shape in params.spec.layout()
     }
-    if params.spec.bypass:
-        leaves["bypass_bias"] = tape.constant(np.zeros(params.spec.out_dim))
-    return leaves
 
 
 def mlp_flat_grad(spec: MlpSpec, name, grads):
@@ -195,5 +261,6 @@ def mlp_graph(tape, spec: MlpSpec, leaves, x_node):
         if i < n_layers - 1:
             z = act(z)
     if spec.bypass:
-        z = tape.add(z, tape.affine(x_node, leaves["bypass"], leaves["bypass_bias"]))
+        zero = tape.constant(np.zeros(spec.out_dim))
+        z = tape.add(z, tape.affine(x_node, leaves["bypass"], zero))
     return z

@@ -102,20 +102,20 @@ def test_criterion_1_gradient_correctness():
 
 def test_criterion_2_rollout_oracles():
     oe = linear_toy_model()
-    y_oe, _, _ = oe.rollout_batch(
+    y_oe, _ = oe.rollout_batch(
         np.zeros((1, 1)), np.array([1.0, 0.0, 0.0]).reshape(1, 3, 1),
         teacher_forced=False,
     )
     err_oe = np.max(np.abs(y_oe[0, :, 0] - [0.0, 1.0, 0.5]))
 
     gi = linear_toy_model(noise="general-innovation", c_e=0.1)
-    y_gi, _, _ = gi.rollout_batch(
+    y_gi, _ = gi.rollout_batch(
         np.zeros((1, 1)), np.zeros((1, 3, 1)), np.ones((1, 3, 1)),
         teacher_forced=True,
     )
     err_gi = np.max(np.abs(y_gi[0, :, 0] - [0.0, 0.1, 0.14]))
 
-    y_t1, _, _ = oe.rollout_batch(
+    y_t1, _ = oe.rollout_batch(
         np.array([[0.3]]), np.ones((1, 1, 1)), teacher_forced=False
     )
     err_t1 = abs(y_t1[0, 0, 0] - 0.3)

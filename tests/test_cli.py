@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -129,7 +130,10 @@ def test_train_divergence_exit_code(tmp_path, small_csvs):
         tmp_path,
         train_cfg_dict(small_csvs, out, max_epochs=10, learning_rate=1e200),
     )
-    assert main(["--config", cfg, "train"]) == 3
+    # the divergence is located without any overflow warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", cfg, "train"]) == 3
 
 
 def test_eval_on_own_training_data(tmp_path, small_csvs, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import linear_toy_model, simulate_linear_toy
@@ -15,6 +17,77 @@ from subnet.loss import (
     valid_starts,
 )
 from subnet.model import build_model
+from subnet.nets import mlp_graph
+
+NOISES = ["output-error", "linear-innovation", "general-innovation"]
+
+
+def _reference_rollout_graph(tape, model, u_roll, y_roll, x0_node, param_nodes):
+    """The batch rollout loss as a per-step tape graph, the reference for the
+    hand-written adjoint: mean_t v_t over the batch, as a scalar node."""
+    horizon = u_roll.shape[1]
+    tag = model.noise.tag
+    if tag == "linear-innovation":
+        zero_x = tape.constant(np.zeros(model.n_x))
+    errors = []
+    x = x0_node
+    for k in range(horizon):
+        y_hat = mlp_graph(tape, model.h_spec, param_nodes["h"], x)
+        err = tape.sub(tape.constant(y_roll[:, k]), y_hat)
+        errors.append(err)
+        if k + 1 < horizon:
+            parts = [x, tape.constant(u_roll[:, k])]
+            if tag == "general-innovation":
+                parts.append(err)
+            x = mlp_graph(tape, model.f_spec, param_nodes["f"], tape.concat(parts, axis=1))
+            if tag == "linear-innovation":
+                x = tape.add(x, tape.affine(err, param_nodes["K"], zero_x))
+    stacked = errors[0] if horizon == 1 else tape.concat(errors, axis=1)
+    return tape.scale(tape.mean(tape.square(stacked)), model.n_y)
+
+
+def _reference_loss(model, u, y, starts, horizon, positions=None, states=None):
+    """(loss, grads) through the per-step graph: encoder initial states, or
+    rows `positions` of the trainable bank `states` when it is given."""
+    starts = np.asarray(starts)
+    u_roll, y_roll = loss._roll_windows(u, y, starts, horizon)
+    tape = Tape()
+    params = loss._register_model_params(tape, model, include_encoder=states is None)
+    if states is None:
+        u_enc, y_enc = loss._enc_windows(u, y, starts, model.n_a, model.n_b)
+        b = len(starts)
+        enc_in = tape.constant(
+            np.concatenate([u_enc.reshape(b, -1), y_enc.reshape(b, -1)], axis=1)
+        )
+        x0_node = mlp_graph(tape, model.psi_spec, params["psi"], enc_in)
+    else:
+        params["x0"] = tape.parameter("x0", states)
+        x0_node = tape.gather(params["x0"], positions)
+    root = _reference_rollout_graph(tape, model, u_roll, y_roll, x0_node, params)
+    return float(root.value), loss._backward(tape, root, model, params)
+
+
+def _adjoint_case(noise, n_y, n_samples):
+    """A 3-state model whose innovation paths are all live, and its data."""
+    model = build_model(3, 1, n_y, 2, 2, noise=noise, hidden_layers=2,
+                        hidden_width=8, seed=11)
+    rng = np.random.default_rng(12)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = rng.normal(0, 0.3, size=(3, n_y))
+    if noise == "general-innovation":
+        model.f_params.view("w0")[:, -n_y:] = rng.normal(0, 0.3, size=(8, n_y))
+    model.f_params.view("bypass")[:] *= 0.5  # a stable free run
+    u = rng.normal(size=(n_samples, 1))
+    y = rng.normal(size=(n_samples, n_y))
+    return model, u, y
+
+
+def _assert_grads_close(grads, ref, rtol):
+    assert list(grads) == list(ref)
+    for name in ref:
+        scale = np.abs(ref[name]).max()
+        assert scale > 0.0, name
+        assert np.abs(grads[name] - ref[name]).max() <= rtol * scale, name
 
 
 def test_valid_starts_overlap_example():
@@ -271,20 +344,109 @@ def test_full_prediction_loss_matches_manual():
     y = rng.normal(size=(25, 1))
     x1 = rng.normal(size=2)
     loss = full_prediction_loss(model, u, y, x1)
-    y_hat, _, _ = model.rollout_batch(x1[None], u[None], y[None])
+    y_hat, _ = model.rollout_batch(x1[None], u[None], y[None])
     manual = np.mean(np.sum((y[None] - y_hat) ** 2, axis=2))
     assert loss == pytest.approx(manual, rel=1e-12)
 
 
 def test_numeric_error_names_section():
+    # both sections overflow at step 2 (x_2 = 1e200 * 5e200); the first is named
     model = linear_toy_model(a=1e200)
     u = np.ones((30, 1))
     y = np.zeros((30, 1))
     states = np.full((2, 1), 5.0)
-    with pytest.raises(NumericError) as err:
-        trainable_state_loss(model, u, y, np.array([0, 10]), np.array([0, 1]),
-                             states, 8)
-    assert err.value.index in (0, 10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            trainable_state_loss(model, u, y, np.array([0, 10]), np.array([0, 1]),
+                                 states, 8)
+    assert str(err.value) == "numeric divergence in section starting at 0 (step 2)"
+    assert err.value.index == 0
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("n_y", [1, 2])
+@pytest.mark.parametrize("noise", NOISES)
+def test_adjoint_matches_per_step_graph(noise, n_y, batch):
+    model, u, y = _adjoint_case(noise, n_y, 120)
+    horizon = 9
+    starts = valid_starts(120, horizon, 2, 2, spacing=13).starts[:batch]
+    value, grads = encoder_loss(model, u, y, starts, horizon, with_grad=True)
+    ref_value, ref_grads = _reference_loss(model, u, y, starts, horizon)
+    assert np.array_equal(value, ref_value)
+    _assert_grads_close(grads, ref_grads, 1e-12)
+    states = np.random.default_rng(13).normal(0, 0.5, size=(batch, 3))
+    positions = np.arange(batch)
+    value, grads = trainable_state_loss(
+        model, u, y, starts, positions, states, horizon, with_grad=True
+    )
+    ref_value, ref_grads = _reference_loss(
+        model, u, y, starts, horizon, positions, states
+    )
+    assert np.array_equal(value, ref_value)
+    _assert_grads_close(grads, ref_grads, 1e-12)
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_adjoint_matches_per_step_graph_long_record(noise):
+    model, u, y = _adjoint_case(noise, 1, 2000)
+    x1 = np.array([0.3, -0.2, 0.1])
+    value, grads = full_prediction_loss(model, u, y, x1, with_grad=True)
+    ref_value, ref_grads = _reference_loss(
+        model, u, y, [0], 2000, np.array([0]), x1.reshape(1, 3)
+    )
+    assert np.array_equal(value, ref_value)
+    _assert_grads_close(grads, ref_grads, 1e-12)
+
+
+@pytest.mark.parametrize("noise", NOISES)
+@pytest.mark.parametrize("bypass", [True, False])
+@pytest.mark.parametrize("hidden_layers", [0, 2])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+def test_adjoint_gradients_every_net_shape(activation, hidden_layers, bypass, noise):
+    model = build_model(2, 1, 1, 2, 2, noise=noise, hidden_layers=hidden_layers,
+                        hidden_width=3, activation=activation, bypass=bypass, seed=1)
+    rng = np.random.default_rng(7)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = [[0.2], [-0.1]]
+    if noise == "general-innovation":
+        model.f_params.view("w0")[:, -1] = rng.normal(0, 0.5, size=model.f_spec.layer_dims()[0][1])
+    model.f_params.flat[:] += rng.normal(0, 0.1, size=model.f_spec.param_count)
+    model.h_params.flat[:] += rng.normal(0, 0.1, size=model.h_spec.param_count)
+    u = rng.normal(size=(20, 1))
+    y = rng.normal(size=(20, 1))
+    starts = np.array([0, 5, 12])
+    states = rng.normal(0, 0.5, size=(3, 2))
+    blocks = {k: v for k, v in model.param_blocks().items() if k != "psi"}
+    blocks["x0"] = states.reshape(-1)
+
+    def fn(params):
+        for name, flat in blocks.items():
+            flat[:] = params[name]
+        return trainable_state_loss(
+            model, u, y, starts, np.arange(3), states, 4, with_grad=True
+        )
+
+    report = grad_check(fn, {k: v.copy() for k, v in blocks.items()})
+    assert report.passed, report
+
+
+def test_full_prediction_tape_has_no_per_step_graph(monkeypatch):
+    tapes = []
+
+    class Recording(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(loss, "Tape", Recording)
+    model, u, y = _adjoint_case("general-innovation", 1, 500)
+    sizes = []
+    for n_samples in (50, 500):
+        full_prediction_loss(model, u[:n_samples], y[:n_samples], np.zeros(3),
+                             with_grad=True)
+        sizes.append(len(tapes[-1].nodes))
+    assert sizes[0] == sizes[1]
 
 
 @settings(max_examples=40, deadline=None)

@@ -34,7 +34,7 @@ def test_zero_weight_encoder_gives_zero_state():
 def test_oe_toy_rollout_oracle():
     model = linear_toy_model()
     u = np.array([1.0, 0.0, 0.0]).reshape(1, 3, 1)
-    y_hat, x_hat, e_hat = model.rollout_batch(np.zeros((1, 1)), u, teacher_forced=False)
+    y_hat, e_hat = model.rollout_batch(np.zeros((1, 1)), u, teacher_forced=False)
     assert np.allclose(y_hat[0, :, 0], [0.0, 1.0, 0.5], rtol=0, atol=1e-12)
     assert np.array_equal(e_hat, np.zeros_like(e_hat))
 
@@ -43,14 +43,14 @@ def test_general_innovation_toy_rollout_oracle():
     model = linear_toy_model(noise="general-innovation", c_e=0.1)
     u = np.zeros((1, 3, 1))
     y = np.ones((1, 3, 1))
-    y_hat, _, e_hat = model.rollout_batch(np.zeros((1, 1)), u, y, teacher_forced=True)
+    y_hat, e_hat = model.rollout_batch(np.zeros((1, 1)), u, y, teacher_forced=True)
     assert np.allclose(y_hat[0, :, 0], [0.0, 0.1, 0.14], rtol=0, atol=1e-12)
     assert np.allclose(e_hat[0, :, 0], [1.0, 0.9, 0.86], rtol=0, atol=1e-12)
 
 
 def test_degenerate_horizon_one():
     model = linear_toy_model()
-    y_hat, _, _ = model.rollout_batch(
+    y_hat, _ = model.rollout_batch(
         np.array([[0.3]]), np.ones((1, 1, 1)), teacher_forced=False
     )
     assert y_hat[0, 0, 0] == pytest.approx(0.3, abs=1e-12)
@@ -62,8 +62,8 @@ def test_prefix_property():
     x0 = rng.normal(size=(2, 3))
     u = rng.normal(size=(2, 8, 1))
     y = rng.normal(size=(2, 8, 1))
-    full, _, _ = model.rollout_batch(x0, u, y)
-    short, _, _ = model.rollout_batch(x0, u[:, :5], y[:, :5])
+    full, _ = model.rollout_batch(x0, u, y)
+    short, _ = model.rollout_batch(x0, u[:, :5], y[:, :5])
     assert np.array_equal(full[:, :5], short)
 
 
