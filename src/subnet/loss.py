@@ -103,38 +103,45 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
-    """The batch rollout loss mean_t v_t as one tape node.
+def _rollout_value(model, u_roll, y_roll, x0, starts, cache=None):
+    """The batch rollout loss mean_t v_t from x0 (B, n_x), and e_hat.
 
-    `x0_node` is the (B, n_x) initial-state node (from the encoder graph or
-    a trainable-state gather); `param_nodes` maps "f"/"h" to their block
-    leaves and "K" to the gain node. These are the node's parents. Raises
-    `NumericError` naming the first diverging section of the batch when
-    the rollout or the loss is non-finite.
+    Raises `NumericError` naming the first diverging section of the batch
+    when the rollout or the loss is non-finite.
     """
-    b, horizon = u_roll.shape[:2]
-    n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
-    tag = model.noise.tag
-    x0 = x0_node.value
-    cache = {}
     try:
         _, e_hat = model.rollout_batch(x0, u_roll, y_roll, cache=cache)
         # the (B, T*n_y) layout of the per-step errors side by side; the
         # mean over it times n_y is (1/(B*T)) sum ||err||^2
-        err = e_hat.reshape(b, -1)
+        err = e_hat.reshape(len(x0), -1)
         with np.errstate(over="ignore", invalid="ignore"):
-            value = np.asarray((err * err).mean()) * float(n_y)
+            value = np.asarray((err * err).mean()) * float(model.n_y)
         if not np.isfinite(value):
             raise NumericError("non-finite loss")
     except NumericError:
         raise _locate_divergence(model, u_roll, y_roll, x0, starts) from None
+    return value, e_hat
 
+
+def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
+    """`_rollout_value` as one tape node, with its adjoint as the gradient.
+
+    `x0_node` is the (B, n_x) initial-state node (from the encoder graph or
+    a trainable-state gather); `param_nodes` maps "f"/"h" to their block
+    leaves and "K" to the gain node. These are the node's parents.
+    """
+    b, horizon = u_roll.shape[:2]
+    n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
+    tag = model.noise.tag
+    cache = {}
+    value, e_hat = _rollout_value(model, u_roll, y_roll, x0_node.value, starts, cache)
     f, h = model.f_params, model.h_params
     f_acts, h_acts = cache["f_acts"], cache["h_acts"]
 
     def backward(g):
-        # adjoint of the errors, in the cache's (T, B, n_y) layout
-        d_err = e_hat.transpose(1, 0, 2) * (2.0 * float(g) * n_y / err.size)
+        # adjoint of the errors, in the cache's (T, B, n_y) layout: the loss
+        # is n_y times the mean over B*T*n_y squared errors
+        d_err = e_hat.transpose(1, 0, 2) * (2.0 * float(g) * n_y / (b * horizon * n_y))
         g_y = np.empty_like(d_err)  # adjoint of y_hat: h's output adjoint
         g_f = np.empty((horizon - 1, b, n_x))  # f's output adjoint
         f_deltas = [np.empty_like(a) for a in f_acts]
@@ -245,6 +252,9 @@ def encoder_loss(model, u, y, starts, horizon, with_grad=False):
     y = np.asarray(y, dtype=np.float64)
     u_roll, y_roll = _roll_windows(u, y, starts, horizon)
     u_enc, y_enc = _enc_windows(u, y, starts, model.n_a, model.n_b)
+    if not with_grad:
+        x0 = model.encode(u_enc, y_enc)
+        return float(_rollout_value(model, u_roll, y_roll, x0, starts)[0])
     b = len(starts)
     tape = Tape()
     params = _register_model_params(tape, model)
@@ -253,10 +263,7 @@ def encoder_loss(model, u, y, starts, horizon, with_grad=False):
     )
     x0_node = mlp_graph(tape, model.psi_spec, params["psi"], enc_in)
     root = _rollout_loss(tape, model, u_roll, y_roll, x0_node, params, starts)
-    loss = float(root.value)
-    if not with_grad:
-        return loss
-    return loss, _backward(tape, root, model, params)
+    return float(root.value), _backward(tape, root, model, params)
 
 
 def trainable_state_loss(
@@ -274,15 +281,16 @@ def trainable_state_loss(
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     u_roll, y_roll = _roll_windows(u, y, starts, horizon)
+    positions = np.asarray(positions, dtype=np.intp)
+    if not with_grad:
+        x0 = np.asarray(states, dtype=np.float64)[positions]
+        return float(_rollout_value(model, u_roll, y_roll, x0, starts)[0])
     tape = Tape()
     params = _register_model_params(tape, model, include_encoder=False)
     params["x0"] = tape.parameter("x0", states)
-    x0_node = tape.gather(params["x0"], np.asarray(positions))
+    x0_node = tape.gather(params["x0"], positions)
     root = _rollout_loss(tape, model, u_roll, y_roll, x0_node, params, starts)
-    loss = float(root.value)
-    if not with_grad:
-        return loss
-    return loss, _backward(tape, root, model, params)
+    return float(root.value), _backward(tape, root, model, params)
 
 
 def full_prediction_loss(model, u, y, x1, with_grad=False):

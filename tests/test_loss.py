@@ -374,6 +374,7 @@ def test_adjoint_matches_per_step_graph(noise, n_y, batch):
     value, grads = encoder_loss(model, u, y, starts, horizon, with_grad=True)
     ref_value, ref_grads = _reference_loss(model, u, y, starts, horizon)
     assert np.array_equal(value, ref_value)
+    assert np.array_equal(encoder_loss(model, u, y, starts, horizon), ref_value)
     _assert_grads_close(grads, ref_grads, 1e-12)
     states = np.random.default_rng(13).normal(0, 0.5, size=(batch, 3))
     positions = np.arange(batch)
@@ -384,6 +385,9 @@ def test_adjoint_matches_per_step_graph(noise, n_y, batch):
         model, u, y, starts, horizon, positions, states
     )
     assert np.array_equal(value, ref_value)
+    assert np.array_equal(
+        trainable_state_loss(model, u, y, starts, positions, states, horizon), ref_value
+    )
     _assert_grads_close(grads, ref_grads, 1e-12)
 
 
