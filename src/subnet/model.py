@@ -204,7 +204,7 @@ class SubnetModel:
         (T, B, n_x), the inputs of f "f_in" (T-1, B, f_in), and one buffer
         per hidden layer of h "h_acts" (T, B, width) and of f "f_acts"
         (T-1, B, width). Without a cache nothing more than the outputs is
-        stored.
+        kept: the hidden layers reuse one (B, width) buffer each.
 
         The loop runs to the end with overflow and invalid-value warnings
         silenced; afterwards one scan of y_hat raises `NumericError` at the
@@ -215,8 +215,17 @@ class SubnetModel:
         y_hat = np.empty((b, horizon, self.n_y))
         e_hat = np.zeros((b, horizon, self.n_y))
         tag = self.noise.tag
-        h_acts = f_acts = None
-        if cache is not None:
+        if cache is None:
+            # one buffer per hidden layer, reused at every step
+            h_acts = [
+                np.empty((b, self.h_spec.hidden_width))
+                for _ in range(self.h_spec.hidden_layers)
+            ]
+            f_acts = [
+                np.empty((b, self.f_spec.hidden_width))
+                for _ in range(self.f_spec.hidden_layers)
+            ]
+        else:
             cache["x"] = np.empty((horizon, b, self.n_x))
             cache["f_in"] = np.empty((horizon - 1, b, self.f_spec.in_dim))
             cache["h_acts"] = [

@@ -10,8 +10,8 @@ the two evaluate the identical function; on a tape each block is its own
 parameter leaf, and `mlp_flat_grad` puts their gradients back together in
 layout order.
 
-The rollout is differentiated by hand instead: `mlp_forward` copies each
-hidden activation into a caller's buffer, `mlp_backward` turns an output
+The rollout is differentiated by hand instead: `mlp_forward` computes each
+hidden activation in a caller's buffer, `mlp_backward` turns an output
 adjoint into the input adjoint and stores every hidden layer's delta, and
 `mlp_block_grads` forms each weight block's gradient with one matmul over
 the deltas and inputs of all steps stacked into (T*B, .) rows.
@@ -27,10 +27,20 @@ from .autodiff import GraphError
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid")
 
+
+def _sigmoid(v, out):
+    # 1 / (1 + exp(-v)), evaluated in place in `out`
+    np.negative(v, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.divide(1.0, out, out=out)
+
+
+# each activation writes its result into `out`
 _ACT_NP = {
     "tanh": np.tanh,
-    "relu": lambda v: np.maximum(v, 0.0),
-    "sigmoid": lambda v: 1.0 / (1.0 + np.exp(-v)),
+    "relu": lambda v, out: np.maximum(v, 0.0, out=out),
+    "sigmoid": _sigmoid,
 }
 
 
@@ -167,7 +177,10 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x, acts=None):
     """Plain numpy forward pass; accepts (in,) or batched (B, in) input.
 
     `acts`, when given, holds one (B, hidden_width) buffer per hidden layer,
-    and each hidden activation is copied into it for `mlp_backward`.
+    and each hidden layer is computed in place in its buffer: a caller that
+    passes the same buffers at every step allocates no (B, hidden_width)
+    temporaries, and one that keeps them has the activations for
+    `mlp_backward`.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -179,11 +192,9 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x, acts=None):
     *hidden, (w_out_t, b_out) = params.layers
     z = x
     for i, (w_t, b) in enumerate(hidden):
-        z = z @ w_t
+        z = z @ w_t if acts is None else np.matmul(z, w_t, out=acts[i])
         z += b
-        z = act(z)
-        if acts is not None:
-            acts[i][...] = z
+        act(z, out=z)
     z = z @ w_out_t
     z += b_out
     if params.bypass_t is not None:
