@@ -414,7 +414,8 @@ def test_adjoint_gradients_every_net_shape(activation, hidden_layers, bypass, no
     if noise == "linear-innovation":
         model.noise.gain[:] = [[0.2], [-0.1]]
     if noise == "general-innovation":
-        model.f_params.view("w0")[:, -1] = rng.normal(0, 0.5, size=model.f_spec.layer_dims()[0][1])
+        w0 = model.f_params.view("w0")
+        w0[:, -1] = rng.normal(0, 0.5, size=len(w0))
     model.f_params.flat[:] += rng.normal(0, 0.1, size=model.f_spec.param_count)
     model.h_params.flat[:] += rng.normal(0, 0.1, size=model.h_spec.param_count)
     u = rng.normal(size=(20, 1))
