@@ -16,6 +16,14 @@ through time (the adjoint form of a simulation loss): a reverse-time loop
 over the state adjoint, then one matmul per weight block over all steps.
 Only the encoder psi and the trainable-state gather are built as tape
 graphs in front of that node.
+
+Every (T, B, .) buffer of that gradient path, the rollout cache and the
+adjoint buffers alike, is a view of one module-level workspace buffer per
+role, grown when a call needs more and otherwise reused, so a training run
+does not allocate (and page-fault) them afresh at every batch. Its one
+rule: a gradient call's buffers stay valid only until the next gradient
+call. This holds because every tape is backpropagated inside the loss call
+that built it.
 """
 
 from __future__ import annotations
@@ -98,6 +106,24 @@ def _enc_windows(u, y, starts, n_a, n_b):
 _CHUNK = 256
 
 
+# one flat float64 buffer per role of the gradient path (see the module
+# docstring); a buffer only grows, so a smaller batch reuses a prefix of it
+_workspace = {}
+
+
+def _take(role, shape):
+    """A `shape` view of the workspace buffer for `role`, contents undefined.
+
+    The view is a contiguous prefix of the buffer, which is replaced by a
+    larger one when `shape` does not fit.
+    """
+    size = int(np.prod(shape))
+    buf = _workspace.get(role)
+    if buf is None or buf.size < size:
+        buf = _workspace[role] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
 def _rows(a):
     """Stack the leading (T, B) axes of a cache buffer into T*B rows."""
     return a.reshape(-1, a.shape[-1])
@@ -142,15 +168,15 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
         # adjoint of the errors, in the cache's (T, B, n_y) layout: the loss
         # is n_y times the mean over B*T*n_y squared errors
         d_err = e_hat.transpose(1, 0, 2) * (2.0 * float(g) * n_y / (b * horizon * n_y))
-        g_y = np.empty_like(d_err)  # adjoint of y_hat: h's output adjoint
-        g_f = np.empty((horizon - 1, b, n_x))  # f's output adjoint
-        f_deltas = [np.empty_like(a) for a in f_acts]
-        h_deltas = [np.empty_like(a) for a in h_acts]
+        g_y = _take("g_y", d_err.shape)  # adjoint of y_hat: h's output adjoint
+        g_f = _take("g_f", (horizon - 1, b, n_x))  # f's output adjoint
+        f_deltas = [_take(f"f_deltas{i}", a.shape) for i, a in enumerate(f_acts)]
+        h_deltas = [_take(f"h_deltas{i}", a.shape) for i, a in enumerate(h_acts)]
         if tag == "output-error":
             # the innovation feeds nothing, so h's backward runs ahead of the
             # loop, over whole steps stacked into chunks of about _CHUNK rows
             np.negative(d_err, out=g_y)
-            g_hx = np.empty((horizon, b, n_x))
+            g_hx = _take("g_hx", (horizon, b, n_x))
             step = max(1, _CHUNK // b)
             for k in range(0, horizon, step):
                 c = slice(k, k + step)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError
-from .loss import _enc_windows, _roll_windows
+from .loss import _enc_windows, _roll_windows, _take
 from .nets import MlpParams, MlpSpec, init_xavier, mlp_forward
 
 NOISE_STRUCTURES = ("output-error", "linear-innovation", "general-innovation")
@@ -203,7 +203,10 @@ class SubnetModel:
         reads, in (T, B, .) buffers filled step by step: the states "x"
         (T, B, n_x), the inputs of f "f_in" (T-1, B, f_in), and one buffer
         per hidden layer of h "h_acts" (T, B, width) and of f "f_acts"
-        (T-1, B, width). Without a cache nothing more than the outputs is
+        (T-1, B, width). These buffers are views of the loss module's
+        workspace (`loss._take`), shared by every cached call: they stay
+        valid only until the next call with a cache, so read them before
+        making one. Without a cache nothing more than the outputs is
         kept: the hidden layers reuse one (B, width) buffer each.
 
         The loop runs to the end with overflow and invalid-value warnings
@@ -226,15 +229,15 @@ class SubnetModel:
                 for _ in range(self.f_spec.hidden_layers)
             ]
         else:
-            cache["x"] = np.empty((horizon, b, self.n_x))
-            cache["f_in"] = np.empty((horizon - 1, b, self.f_spec.in_dim))
+            cache["x"] = _take("x", (horizon, b, self.n_x))
+            cache["f_in"] = _take("f_in", (horizon - 1, b, self.f_spec.in_dim))
             cache["h_acts"] = [
-                np.empty((horizon, b, self.h_spec.hidden_width))
-                for _ in range(self.h_spec.hidden_layers)
+                _take(f"h_acts{i}", (horizon, b, self.h_spec.hidden_width))
+                for i in range(self.h_spec.hidden_layers)
             ]
             cache["f_acts"] = [
-                np.empty((horizon - 1, b, self.f_spec.hidden_width))
-                for _ in range(self.f_spec.hidden_layers)
+                _take(f"f_acts{i}", (horizon - 1, b, self.f_spec.hidden_width))
+                for i in range(self.f_spec.hidden_layers)
             ]
         x = x0
         with np.errstate(over="ignore", invalid="ignore"):

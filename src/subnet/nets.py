@@ -216,7 +216,13 @@ def mlp_backward(spec: MlpSpec, params: MlpParams, g, acts, deltas):
     tmp = np.empty_like(deltas[0]) if deltas else None
     delta = g
     for i in reversed(range(spec.hidden_layers)):
-        np.matmul(delta, params.view(f"w{i + 1}"), out=deltas[i])
+        w = params.view(f"w{i + 1}")
+        if delta.shape[1] == 1:
+            # an outer product (one output): the broadcast multiply gives
+            # the matmul's numbers in half its time
+            np.multiply(delta, w, out=deltas[i])
+        else:
+            np.matmul(delta, w, out=deltas[i])
         d_act(acts[i], tmp)
         deltas[i] *= tmp
         delta = deltas[i]
