@@ -404,6 +404,45 @@ def test_adjoint_matches_per_step_graph_long_record(noise):
 
 
 @pytest.mark.parametrize("noise", NOISES)
+def test_workspace_reuse_is_bit_exact(noise, monkeypatch):
+    # gradient calls of falling and rising size share one workspace: each
+    # result equals the same call on an empty workspace, and a call that
+    # fits the buffers reuses them instead of growing or copying them
+    model, u, y = _adjoint_case(noise, 1, 3000)
+    starts = valid_starts(len(u), 8, 2, 2).starts
+    calls = [
+        lambda: encoder_loss(model, u, y, starts[:256], 8, with_grad=True),
+        lambda: encoder_loss(model, u, y, starts[300:523], 8, with_grad=True),
+        # B=1 over 3000 steps needs more rows than 256 sections of 8 steps
+        lambda: full_prediction_loss(model, u, y, np.array([0.3, -0.2, 0.1]),
+                                     with_grad=True),
+        lambda: encoder_loss(model, u, y, starts[:256], 8, with_grad=True),
+    ]
+
+    def reused(before):
+        now = loss._workspace
+        return now.keys() == before.keys() and all(now[r] is before[r] for r in before)
+
+    monkeypatch.setattr(loss, "_workspace", {})
+    shared = [calls[0]()]
+    first = dict(loss._workspace)
+    shared.append(calls[1]())
+    assert reused(first)
+    shared.append(calls[2]())
+    assert not reused(first)  # the long record grew buffers
+    grown = dict(loss._workspace)
+    shared.append(calls[3]())
+    assert reused(grown)
+    for call, (value, grads) in zip(calls, shared):
+        monkeypatch.setattr(loss, "_workspace", {})
+        ref_value, ref_grads = call()
+        assert np.array_equal(value, ref_value)
+        assert list(grads) == list(ref_grads)
+        for name in grads:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("noise", NOISES)
 @pytest.mark.parametrize("bypass", [True, False])
 @pytest.mark.parametrize("hidden_layers", [0, 2])
 @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])

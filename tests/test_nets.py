@@ -140,16 +140,17 @@ def test_flat_gradient_matches_finite_differences(bypass):
 @pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
 @pytest.mark.parametrize("hidden_layers", [0, 2])
 @pytest.mark.parametrize("bypass", [True, False])
-def test_backward_matches_graph(activation, hidden_layers, bypass):
+@pytest.mark.parametrize("out_dim", [1, 2])
+def test_backward_matches_graph(activation, hidden_layers, bypass, out_dim):
     # the gradient of sum(G * mlp(x)) over six rows, from the cached forward
     # and the hand-written backward, against the tape of the same function
-    spec = MlpSpec(3, 2, hidden_layers=hidden_layers, hidden_width=5,
+    spec = MlpSpec(3, out_dim, hidden_layers=hidden_layers, hidden_width=5,
                    activation=activation, bypass=bypass)
     params = init_xavier(spec, 3)
     params.flat[:] += np.random.default_rng(4).normal(0, 0.2, size=spec.param_count)
     rng = np.random.default_rng(5)
     x = rng.normal(size=(6, 3))
-    g = rng.normal(size=(6, 2))
+    g = rng.normal(size=(6, out_dim))
     acts = [np.empty((6, 5)) for _ in range(hidden_layers)]
     out = mlp_forward(spec, params, x, acts)
     assert np.array_equal(out, mlp_forward(spec, params, x))
