@@ -60,10 +60,29 @@ _SCHEMA = {
     "data": _DATA_KEYS,
     "model": _MODEL_KEYS,
     "train": _TRAIN_KEYS,
-    "eval": {"checkpoint", "k_max", "skip"},
+    "eval": {"checkpoint", "k_max"},
     "compare": {"variants", "budget_s"},
     "analyze": {"horizons", "record_lengths", "n_trials", "max_horizon_sweep"},
 }
+
+
+# the JSON type of each key that must have one; `type(value) is int` also
+# turns away bools, which Python counts as ints
+_KEY_TYPES = {
+    **{f"train.{key}": int for key in (
+        "horizon", "spacing", "batch_size", "max_epochs", "patience",
+    )},
+    **{f"model.{key}": int for key in (
+        "n_x", "n_a", "n_b", "hidden_layers", "hidden_width",
+    )},
+    "model.bypass": bool,
+    "eval.k_max": int,
+    # a path: `open` would take an integer for a file descriptor
+    **{f"data.{key}": str for key in ("train_csv", "val_csv", "test_csv", "csv")},
+    "eval.checkpoint": str,
+}
+_NONNEGATIVE = {"model.n_a", "model.n_b", "eval.k_max"}
+_JSON_NAMES = {int: "integer", bool: "boolean", str: "string"}
 
 
 def _validate(node, schema, path=""):
@@ -73,6 +92,14 @@ def _validate(node, schema, path=""):
         where = f"{path}.{key}" if path else key
         if key not in schema:
             raise ConfigError(f"unknown config key: {where}")
+        kind = _KEY_TYPES.get(where)
+        if kind is not None and type(value) is not kind:
+            raise ConfigError(
+                f"config key {where} must be a JSON {_JSON_NAMES[kind]}, "
+                f"got {json.dumps(value)}"
+            )
+        if where in _NONNEGATIVE and value < 0:
+            raise ConfigError(f"config key {where} must be >= 0, got {value}")
         sub = schema[key] if isinstance(schema, dict) else None
         if isinstance(sub, (dict, set)):
             _validate(value, sub, where)
@@ -204,19 +231,30 @@ def cmd_train(args, cfg):
 _CHUNK_ROWS = 8192
 
 
-def _write_rows(path, header, fmt, columns):
-    """Write a header line, then row i as `fmt % (col[i] for col in columns)`.
+def _strings(fmt, values):
+    """`fmt % v` for each value, as an object array that integer arrays index."""
+    return np.array([fmt % v for v in np.asarray(values).tolist()], dtype=object)
 
-    Rows end in "\r\n" and floats use "%.17g", as `csv.writer` would write
-    them; no field here needs quoting. The rows are formatted a chunk at a
-    time, so the whole file is never held in memory as one string.
+
+def _write_rows(path, header, values, pieces):
+    """Write a header line, then one line per entry of `values`.
+
+    Line i joins strings[index(i)] over the (strings, index) pairs of
+    `pieces`, where `index` maps an array of line numbers to indices into
+    `strings`, and its one "%.17g" is filled from values[i]. The pieces
+    are formatted once per distinct value, so a chunk of 8192 lines is one
+    template filled by a single `%`, which no piece can upset: none holds
+    another "%". Floats use "%.17g" and lines end in "\r\n", as
+    `csv.writer` would write them; no field here needs quoting. The whole
+    file is never held in memory as one string.
     """
-    line = fmt + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(header + "\r\n")
-        for lo in range(0, len(columns[0]), _CHUNK_ROWS):
-            chunk = zip(*(col[lo : lo + _CHUNK_ROWS].tolist() for col in columns))
-            fh.write("".join([line % row for row in chunk]))
+        for lo in range(0, len(values), _CHUNK_ROWS):
+            lines = np.arange(lo, min(lo + _CHUNK_ROWS, len(values)))
+            parts = [strings[index(lines)] for strings, index in pieces]
+            template = "".join(sum(parts[1:], parts[0]).tolist())
+            fh.write(template % tuple(values[lines].tolist()))
 
 
 def cmd_eval(args, cfg):
@@ -239,23 +277,34 @@ def cmd_eval(args, cfg):
     test_nrms = analysis.nrms(test.y[sim.skip :], sim.y_sim[sim.skip :])
     print(f"free-run NRMS: {test_nrms:.6g} ({100 * test_nrms:.4g}%)")
 
+    # line i of simulation.csv is output channel i % n_y at t = i // n_y
+    n_y = test.n_y
     _write_rows(
         out / "simulation.csv",
         "t,y_measured,y_sim",
-        "%d,%.17g,%.17g",
-        [np.repeat(np.arange(len(test)), test.n_y), test.y.ravel(), sim.y_sim.ravel()],
+        sim.y_sim.ravel(),
+        [
+            (_strings("%d,", range(len(test))), lambda i: i // n_y),
+            (_strings("%.17g,%%.17g\r\n", test.y.ravel()), lambda i: i),
+        ],
     )
 
+    # kstep.csv runs start-major, then k, then channel; the y_measured of
+    # a line is test.y.ravel()[(t + k) * n_y + channel]
     profile = analysis.kstep_nrms(model, test, k_max)
+    k1 = k_max + 1
+    t_idx = profile.t_idx
     _write_rows(
         out / "kstep.csv",
         "t,k,y_hat,y_measured",
-        "%d,%d,%.17g,%.17g",
+        profile.predictions.ravel(),
         [
-            np.repeat(profile.t_idx, (k_max + 1) * test.n_y),
-            np.tile(np.repeat(np.arange(k_max + 1), test.n_y), len(profile.t_idx)),
-            profile.predictions.ravel(),
-            test.y[profile.t_idx[:, None] + np.arange(k_max + 1)].ravel(),
+            (_strings("%d,", t_idx), lambda i: i // (k1 * n_y)),
+            (_strings("%d,%%.17g,", range(k1)), lambda i: i // n_y % k1),
+            (
+                _strings("%.17g\r\n", test.y.ravel()),
+                lambda i: t_idx[i // (k1 * n_y)] * n_y + i % (k1 * n_y),
+            ),
         ],
     )
     with open(out / "kstep_nrms.csv", "w", newline="") as fh:

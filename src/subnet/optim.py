@@ -55,7 +55,11 @@ class AdamState:
 
 
 def adam_step(state: AdamState, params: dict, grads: dict):
-    """Standard bias-corrected Adam update, in place on the param blocks."""
+    """Standard bias-corrected Adam update, in place on the param blocks.
+
+    Raises `NumericError` naming the block when a gradient or an update is
+    non-finite.
+    """
     state.step += 1
     t = state.step
     for name, p in params.items():
@@ -71,7 +75,13 @@ def adam_step(state: AdamState, params: dict, grads: dict):
         v += (1.0 - state.beta2) * (g * g - v)
         m_hat = m / (1.0 - state.beta1**t)
         v_hat = v / (1.0 - state.beta2**t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        if not np.all(np.isfinite(update)):
+            # from a huge or non-finite learning rate; raising before the
+            # update keeps every parameter finite
+            raise NumericError(f"non-finite update in block {name!r}", index=name)
+        p -= update
 
 
 @dataclass

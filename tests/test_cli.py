@@ -4,10 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subnet.cli import main
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system, load_csv, save_csv
-from subnet.model import SubnetModel, build_model, load_model, save_model
+from subnet.model import NOISE_STRUCTURES, SubnetModel, build_model, load_model, save_model
+from subnet.nets import ACTIVATIONS
+from subnet.optim import VAL_METRICS
 
 MODEL_CFG = {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 6}
 TRAIN_CFG = {"horizon": 4, "batch_size": 64, "max_epochs": 2, "patience": 50}
@@ -259,6 +263,64 @@ def test_eval_csvs_match_csv_writer_two_outputs(tmp_path):
     assert (out / "simulation.csv").read_bytes().count(b",nan\r\n") == 3 * 2
 
 
+def test_eval_kstep_csv_spans_write_chunks(tmp_path):
+    # 250 samples at k_max 40 give 208 starts, 8528 kstep.csv lines: more
+    # than one 8192-line write chunk
+    test = generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=250, seed=5))
+    save_csv(test, tmp_path / "test.csv")
+    save_model(
+        build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=6, seed=4),
+        tmp_path / "model.bin",
+    )
+    cfg = write_config(
+        tmp_path, {"data": {"test_csv": str(tmp_path / "test.csv"), "n_u": 1, "n_y": 1}}
+    )
+    out = tmp_path / "eval"
+    assert main(
+        ["--config", cfg, "--out", str(out), "eval",
+         "--checkpoint", str(tmp_path / "model.bin"), "--kmax", "40"]
+    ) == 0
+
+    t_idx, preds = load_model(tmp_path / "model.bin").kstep_predictions(test, 40)
+    assert len(t_idx) * 41 > 8192
+    with open(tmp_path / "kstep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "k", "y_hat", "y_measured"])
+        for i, t in enumerate(t_idx):
+            for k in range(41):
+                writer.writerow([t, k, f"{preds[i, k, 0]:.17g}", f"{test.y[t + k, 0]:.17g}"])
+    assert (out / "kstep.csv").read_bytes() == (tmp_path / "kstep.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "section, key, value, message",
+    [
+        ("eval", "k_max", 1.5, "eval.k_max must be a JSON integer, got 1.5"),
+        ("train", "horizon", 1.5, "train.horizon must be a JSON integer, got 1.5"),
+        ("train", "spacing", 1.5, "train.spacing must be a JSON integer, got 1.5"),
+        ("train", "batch_size", True, "train.batch_size must be a JSON integer, got true"),
+        ("model", "bypass", "no", 'model.bypass must be a JSON boolean, got "no"'),
+        ("model", "n_a", -3, "model.n_a must be >= 0, got -3"),
+        ("model", "n_b", -1, "model.n_b must be >= 0, got -1"),
+        ("eval", "checkpoint", 5, "eval.checkpoint must be a JSON string, got 5"),
+        ("eval", "skip", 0, "unknown config key: eval.skip"),
+    ],
+)
+def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, value,
+                                    message):
+    cfg_dict = train_cfg_dict(small_csvs, tmp_path / "run")
+    cfg_dict.setdefault(section, {})[key] = value
+    cfg = write_config(tmp_path, cfg_dict)
+    command = ["train"]
+    if section == "eval":
+        save_model(build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=6),
+                   tmp_path / "model.bin")
+        command = ["eval", "--checkpoint", str(tmp_path / "model.bin")]
+    assert main(["--config", cfg, *command]) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_eval_bad_checkpoint_header_is_io_error(tmp_path, small_csvs, capsys):
     header = json.dumps({"blocks": []}).encode()
     path = tmp_path / "bad.bin"
@@ -360,3 +422,73 @@ def test_csv_split_config_path(tmp_path):
     )
     assert main(["--config", cfg, "train"]) == 0
     assert (out / "model.bin").exists()
+
+
+# a config value of any JSON kind; numbers are small, so that a drawn size
+# or epoch count keeps an example to milliseconds
+_ANY_VALUE = st.one_of(
+    st.integers(-2, 3),
+    st.floats(),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(-2, 3), max_size=2),
+)
+# values each key accepts, drawn as often as any value, so that training
+# also runs on odd but valid configs
+_VALID_VALUES = {
+    "model.n_x": st.integers(1, 3),
+    "model.n_a": st.integers(0, 3),
+    "model.n_b": st.integers(0, 3),
+    "model.hidden_layers": st.integers(0, 2),
+    "model.hidden_width": st.integers(1, 4),
+    "model.noise": st.sampled_from(NOISE_STRUCTURES),
+    "model.activation": st.sampled_from(ACTIVATIONS),
+    "model.bypass": st.booleans(),
+    "train.horizon": st.integers(1, 4),
+    "train.batch_size": st.integers(1, 20),
+    "train.spacing": st.integers(1, 3),
+    "train.learning_rate": st.floats(),
+    "train.max_epochs": st.integers(0, 3),
+    "train.patience": st.integers(0, 2),
+    "train.val_metric": st.sampled_from(VAL_METRICS),
+    "train.budget_s": st.one_of(st.floats(), st.none()),
+    "eval.k_max": st.integers(0, 3),
+    "eval.checkpoint": st.text(max_size=4),
+}
+
+
+@st.composite
+def _config_values(draw):
+    keys = draw(st.lists(st.sampled_from(sorted(_VALID_VALUES)), max_size=3, unique=True))
+    return {key: draw(st.one_of(_VALID_VALUES[key], _ANY_VALUE)) for key in keys}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    for name, n_samples, seed in (("train", 60, 0), ("val", 40, 1), ("test", 50, 2)):
+        ds = generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=n_samples, seed=seed))
+        save_csv(ds, path / f"{name}.csv")
+    save_model(build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=3), path / "model.bin")
+    return path
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=_config_values())
+def test_config_fuzz_exits_with_a_code(fuzz_dir, values):
+    cfg = {
+        "data": {f"{name}_csv": str(fuzz_dir / f"{name}.csv")
+                 for name in ("train", "val", "test")},
+        "model": {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 3},
+        "train": {"horizon": 3, "batch_size": 16, "max_epochs": 2, "patience": 2},
+        "eval": {},
+        "out": str(fuzz_dir / "out"),
+    }
+    for where, value in values.items():
+        section, key = where.split(".")
+        cfg[section][key] = value
+    path = write_config(fuzz_dir, cfg)
+    assert main(["--config", path, "train"]) in (0, 2, 3, 4)
+    flags = [] if "eval.checkpoint" in values else ["--checkpoint", str(fuzz_dir / "model.bin")]
+    assert main(["--config", path, "eval", *flags]) in (0, 2, 3, 4)

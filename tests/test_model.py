@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subnet.autodiff import NumericError
-from subnet.data import IoDataset
+from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
+from subnet.loss import _enc_windows, _roll_windows
 from subnet.model import (
     CheckpointError,
     Normalization,
@@ -16,6 +17,7 @@ from subnet.model import (
     load_model,
     save_model,
 )
+from subnet.optim import fit_normalization
 
 
 def test_encoder_input_length():
@@ -163,6 +165,64 @@ def test_kstep_too_short_raises():
     ds = IoDataset(np.zeros((5, 1)), np.arange(5.0)[:, None])
     with pytest.raises(ValueError):
         model.kstep_predictions(ds, k_max=10)
+
+
+def _one_rollout(model, ds, t_idx, k_max):
+    u = model.norm.norm_u(ds.u)
+    y = model.norm.norm_y(ds.y)
+    x0 = model.encode(*_enc_windows(u, y, t_idx, model.n_a, model.n_b))
+    y_hat, _ = model.rollout_batch(x0, *_roll_windows(u, y, t_idx, k_max + 1))
+    return model.norm.denorm_y(y_hat)
+
+
+@pytest.fixture(scope="module")
+def long_record():
+    return generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=10_000, seed=3))
+
+
+# 2100 starts are one block, 4200 two, 8222 merge a 30-row tail into the
+# fourth block, and 9950 is the eval benchmark's shape (five blocks)
+@pytest.mark.parametrize(
+    "noise, b",
+    [
+        ("output-error", 2100),
+        ("output-error", 4200),
+        ("output-error", 8222),
+        ("output-error", 9950),
+        ("linear-innovation", 4200),
+        ("general-innovation", 4200),
+    ],
+)
+def test_kstep_blocks_match_one_rollout(long_record, noise, b):
+    ds = IoDataset(long_record.u[: b + 50], long_record.y[: b + 50])
+    model = build_model(
+        4, 1, 1, 10, 10, noise=noise, seed=0, norm=fit_normalization(long_record)
+    )
+    rng = np.random.default_rng(1)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = 0.1 * rng.normal(size=model.noise.gain.shape)
+    if noise == "general-innovation":
+        model.f_params.view("w0")[:, -1] = 0.05 * rng.normal(size=64)
+    t_idx, preds = model.kstep_predictions(ds, 40)
+    assert len(t_idx) == b
+    assert np.array_equal(preds, _one_rollout(model, ds, t_idx, 40))
+
+
+def test_kstep_numeric_error_names_first_step_over_blocks():
+    # x = 1e200 * x + u with y = 0: a start t <= 2054 turns non-finite at step
+    # 2057 - t, so the first block (t <= 2048) first fails at step 9 and the
+    # second at step 3, from t = 2054
+    model = linear_toy_model(a=1e200, exact_encoder=True)
+    u = np.zeros((3200, 1))
+    u[2054] = 1.0
+    ds = IoDataset(u, np.zeros((3200, 1)))
+    with pytest.raises(NumericError) as ref:
+        _one_rollout(model, ds, np.arange(1, 3160), 40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            model.kstep_predictions(ds, 40)
+    assert (err.value.index, str(err.value)) == (3, str(ref.value))
 
 
 def test_rollout_numeric_error_carries_step():

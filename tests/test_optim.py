@@ -70,6 +70,17 @@ def test_adam_nonfinite_gradient_raises():
         adam_step(state, {"blk": np.zeros(2)}, {"blk": np.array([1.0, np.nan])})
 
 
+@pytest.mark.parametrize("lr", [1e308, np.inf, np.nan])
+def test_adam_nonfinite_update_raises(lr):
+    # lr * m_hat overflows (or is inf * 0); the overflow warns nothing and
+    # the parameters are left as they were
+    state = AdamState(lr=lr)
+    params = {"blk": np.array([1.0, 2.0])}
+    with pytest.raises(NumericError, match="non-finite update in block 'blk'"):
+        adam_step(state, params, {"blk": np.array([10.0, 0.0])})
+    assert np.array_equal(params["blk"], [1.0, 2.0])
+
+
 def test_train_config_validates_metric():
     with pytest.raises(ValueError):
         TrainConfig(val_metric="test-nrms")
