@@ -36,7 +36,10 @@ NOISE_STRUCTURES = ("output-error", "linear-innovation", "general-innovation")
 # 256-row blocks and balanced blocks (5 x 1990 rows) changed the last bits
 # of predictions, and so did a 30-row tail on 8222 rows; blocks of 512 to
 # 2048 rows starting at multiples of their size, with a tail under half a
-# block merged into the block before it, did not
+# block merged into the block before it, did not. That comparison holds at
+# one BLAS thread: with two, OpenBLAS splits the rows of one unblocked
+# 8222- or 9950-row product between the threads and its last bits change
+# at the split, while the blocked predictions stay the same at 1-4 threads
 KSTEP_BLOCK = 2048
 
 CHECKPOINT_MAGIC = b"SSENC\x00"
@@ -328,8 +331,8 @@ class SubnetModel:
         blocks that start at multiples of `KSTEP_BLOCK` rows, and a last
         block shorter than half of that joins the block before it. This
         rule keeps the predictions bit-identical to one rollout over all
-        starts; smaller blocks, blocks at other offsets or a short tail
-        can change their last bits. A non-finite prediction raises
+        starts at one BLAS thread; smaller blocks, blocks at other offsets
+        or a short tail can change their last bits. A non-finite prediction raises
         `NumericError` at its first step over all blocks.
         """
         if k_max < 0:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -175,37 +178,85 @@ def _one_rollout(model, ds, t_idx, k_max):
     return model.norm.denorm_y(y_hat)
 
 
-@pytest.fixture(scope="module")
-def long_record():
+def _long_record():
     return generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=10_000, seed=3))
 
 
 # 2100 starts are one block, 4200 two, 8222 merge a 30-row tail into the
 # fourth block, and 9950 is the eval benchmark's shape (five blocks)
-@pytest.mark.parametrize(
-    "noise, b",
-    [
-        ("output-error", 2100),
-        ("output-error", 4200),
-        ("output-error", 8222),
-        ("output-error", 9950),
-        ("linear-innovation", 4200),
-        ("general-innovation", 4200),
-    ],
-)
-def test_kstep_blocks_match_one_rollout(long_record, noise, b):
-    ds = IoDataset(long_record.u[: b + 50], long_record.y[: b + 50])
+_KSTEP_CASES = [
+    ("output-error", 2100),
+    ("output-error", 4200),
+    ("output-error", 8222),
+    ("output-error", 9950),
+    ("linear-innovation", 4200),
+    ("general-innovation", 4200),
+]
+
+
+def _kstep_case(record, noise, b):
+    ds = IoDataset(record.u[: b + 50], record.y[: b + 50])
     model = build_model(
-        4, 1, 1, 10, 10, noise=noise, seed=0, norm=fit_normalization(long_record)
+        4, 1, 1, 10, 10, noise=noise, seed=0, norm=fit_normalization(record)
     )
     rng = np.random.default_rng(1)
     if noise == "linear-innovation":
         model.noise.gain[:] = 0.1 * rng.normal(size=model.noise.gain.shape)
     if noise == "general-innovation":
         model.f_params.view("w0")[:, -1] = 0.05 * rng.normal(size=64)
+    return model, ds
+
+
+_ONE_THREAD_ROLLOUTS = """
+import sys
+
+import numpy as np
+from test_model import _KSTEP_CASES, _kstep_case, _long_record, _one_rollout
+
+record = _long_record()
+refs = {}
+for noise, b in _KSTEP_CASES:
+    model, ds = _kstep_case(record, noise, b)
+    t_idx = np.arange(model.lag, len(ds) - 40)
+    refs[f"{noise}-{b}"] = _one_rollout(model, ds, t_idx, 40)
+np.savez(sys.argv[1], **refs)
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_rollouts(tmp_path_factory):
+    # One unblocked rollout per case, run in a child process at one BLAS
+    # thread, as bench/run.py runs eval. With two threads OpenBLAS splits
+    # the rows of one 8222- or 9950-row product between them, and the
+    # unblocked rollout's last bits change at the split; the blocked
+    # predictions stay the same at one to four threads.
+    import subnet
+
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(subnet.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    path = tmp_path_factory.mktemp("kstep") / "rollouts.npz"
+    subprocess.run(
+        [sys.executable, "-c", _ONE_THREAD_ROLLOUTS, str(path)],
+        check=True, env=env, cwd=tests_dir, timeout=300,
+    )
+    with np.load(path) as refs:
+        return {name: refs[name] for name in refs.files}
+
+
+@pytest.fixture(scope="module")
+def long_record():
+    return _long_record()
+
+
+@pytest.mark.parametrize("noise, b", _KSTEP_CASES)
+def test_kstep_blocks_match_one_rollout(long_record, one_thread_rollouts, noise, b):
+    model, ds = _kstep_case(long_record, noise, b)
     t_idx, preds = model.kstep_predictions(ds, 40)
     assert len(t_idx) == b
-    assert np.array_equal(preds, _one_rollout(model, ds, t_idx, 40))
+    assert np.array_equal(preds, one_thread_rollouts[f"{noise}-{b}"])
 
 
 def test_kstep_numeric_error_names_first_step_over_blocks():
