@@ -40,8 +40,11 @@ def nrms(y_measured, y_predicted, skip=0):
     sigma = ym.std(axis=0)
     if np.any(sigma < 1e-12):
         raise DegenerateSignalError("measured signal std is (near) zero")
-    per_channel = np.sqrt(np.mean((ym - yp) ** 2, axis=0)) / sigma
-    return float(np.sqrt(np.mean(per_channel**2)))
+    # a finite but huge prediction error overflows its square: the NRMS is
+    # then inf, with no RuntimeWarning
+    with np.errstate(over="ignore"):
+        per_channel = np.sqrt(np.mean((ym - yp) ** 2, axis=0)) / sigma
+        return float(np.sqrt(np.mean(per_channel**2)))
 
 
 @dataclass
@@ -63,9 +66,10 @@ def kstep_nrms(model, dataset, k_max, truncation_length=None):
     sigma = dataset.y[model.lag :].std(axis=0)
     if np.any(sigma < 1e-12):
         raise DegenerateSignalError("measured signal std is (near) zero")
-    mse = np.mean((preds - y_true) ** 2, axis=0)  # (k_max+1, n_y)
-    per_channel = np.sqrt(mse) / sigma
-    values = np.sqrt(np.mean(per_channel**2, axis=1))
+    with np.errstate(over="ignore"):  # an overflow gives inf, as in `nrms`
+        mse = np.mean((preds - y_true) ** 2, axis=0)  # (k_max+1, n_y)
+        per_channel = np.sqrt(mse) / sigma
+        values = np.sqrt(np.mean(per_channel**2, axis=1))
     return KStepProfile(values, t_idx, preds, truncation_length)
 
 
@@ -88,8 +92,11 @@ def overlap_variance_mc(horizon, n_samples, n_trials, seed=0):
     """
     if n_samples < horizon:
         raise ValueError("n_samples must be >= horizon")
-    rng = np.random.default_rng(seed)
     m_1, m_T = mc_start_counts(horizon, n_samples)
+    if m_T < 1:
+        # no whole d=T stride: the d=T mean would be over no sections
+        raise ValueError(f"n_samples must be >= 2*horizon - 1 = {2 * horizon - 1}")
+    rng = np.random.default_rng(seed)
     kernel = np.ones(horizon) / horizon
     v1 = np.empty(n_trials)
     vT = np.empty(n_trials)

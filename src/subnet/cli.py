@@ -35,14 +35,15 @@ class ConfigError(ValueError):
 
 # -- config schema (unknown keys rejected) ------------------------------------
 
-_GENERATOR_KEYS = {"variant", "sigma_k", "sigma_e", "n_samples", "seed"}
+_SPLIT_KEYS = ("train_len", "val_len", "test_len")
+_GENERATOR_KEYS = {"variant", "sigma_k", "sigma_e", "seed"}
 _DATA_KEYS = {
     "generator": _GENERATOR_KEYS,
     "train_csv": None,
     "val_csv": None,
     "test_csv": None,
     "csv": None,
-    "split": {"train_len", "val_len", "test_len"},
+    "split": set(_SPLIT_KEYS),
     "n_u": None,
     "n_y": None,
 }
@@ -80,9 +81,26 @@ _KEY_TYPES = {
     # a path: `open` would take an integer for a file descriptor
     **{f"data.{key}": str for key in ("train_csv", "val_csv", "test_csv", "csv")},
     "eval.checkpoint": str,
+    "seed": int,
+    "data.generator.seed": int,
+    **{f"data.split.{key}": int for key in _SPLIT_KEYS},
+    "analyze.n_trials": int,
+    "analyze.max_horizon_sweep": int,
+    "analyze.horizons": list,
+    "analyze.record_lengths": list,
 }
-_NONNEGATIVE = {"model.n_a", "model.n_b", "eval.k_max"}
-_JSON_NAMES = {int: "integer", bool: "boolean", str: "string"}
+# the keys of _KEY_TYPES that are lists of integers
+_INT_LISTS = {"analyze.horizons", "analyze.record_lengths"}
+# the least value of an integer key, or of each integer in a list key
+_MINIMUM = {
+    "model.n_a": 0, "model.n_b": 0, "eval.k_max": 0,
+    "seed": 0, "data.generator.seed": 0,
+    **{f"data.split.{key}": 0 for key in _SPLIT_KEYS},
+    # a variance needs two trials; a horizon and a record at least a sample
+    "analyze.n_trials": 2, "analyze.max_horizon_sweep": 0,
+    "analyze.horizons": 1, "analyze.record_lengths": 1,
+}
+_JSON_NAMES = {int: "integer", bool: "boolean", str: "string", list: "list"}
 
 
 def _validate(node, schema, path=""):
@@ -98,8 +116,17 @@ def _validate(node, schema, path=""):
                 f"config key {where} must be a JSON {_JSON_NAMES[kind]}, "
                 f"got {json.dumps(value)}"
             )
-        if where in _NONNEGATIVE and value < 0:
-            raise ConfigError(f"config key {where} must be >= 0, got {value}")
+        if where in _INT_LISTS and any(type(v) is not int for v in value):
+            raise ConfigError(
+                f"config key {where} must be a JSON list of integers, "
+                f"got {json.dumps(value)}"
+            )
+        least = _MINIMUM.get(where)
+        values = value if where in _INT_LISTS else [value]
+        if least is not None and any(v < least for v in values):
+            raise ConfigError(
+                f"config key {where} must be >= {least}, got {json.dumps(value)}"
+            )
         sub = schema[key] if isinstance(schema, dict) else None
         if isinstance(sub, (dict, set)):
             _validate(value, sub, where)
@@ -154,6 +181,9 @@ def _load_datasets(cfg, seed, need=("train", "val", "test")):
         split = data_cfg.get("split")
         if split is None:
             raise ConfigError("data.csv requires data.split lengths")
+        for key in _SPLIT_KEYS:
+            if key not in split:
+                raise ConfigError(f"data.csv requires data.split.{key}")
         parts = data.slice_splits(
             full, split["train_len"], split["val_len"], split["test_len"]
         )
@@ -356,6 +386,11 @@ def cmd_analyze(args, cfg):
     lengths = an.get("record_lengths", [256, 512, 1024])
     n_trials = an.get("n_trials", 2000)
     sweep_max = an.get("max_horizon_sweep", 64)
+    if len(horizons) != len(lengths):
+        raise ConfigError(
+            "config keys analyze.horizons and analyze.record_lengths must have "
+            f"the same length, got {len(horizons)} and {len(lengths)}"
+        )
 
     with open(out / "g_of_d.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -33,7 +33,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NumericError, Tape
-from .nets import mlp_backward, mlp_block_grads, mlp_flat_grad, mlp_graph, mlp_leaves
+from .nets import (
+    mlp_act_grads,
+    mlp_backward,
+    mlp_block_grads,
+    mlp_flat_grad,
+    mlp_graph,
+    mlp_leaves,
+)
 
 
 class EmptyIndexSetError(ValueError):
@@ -172,6 +179,13 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
         g_f = _take("g_f", (horizon - 1, b, n_x))  # f's output adjoint
         f_deltas = [_take(f"f_deltas{i}", a.shape) for i, a in enumerate(f_acts)]
         h_deltas = [_take(f"h_deltas{i}", a.shape) for i, a in enumerate(h_acts)]
+        # the activation derivatives of all steps at once; each step's
+        # mlp_backward then completes its deltas in place
+        mlp_act_grads(model.f_spec, f_acts, f_deltas)
+        mlp_act_grads(model.h_spec, h_acts, h_deltas)
+        # mlp_backward's scratch rows; f and h never use it at the same time
+        f_tmp = _take("tmp", (max(b, _CHUNK), model.f_spec.hidden_width))
+        h_tmp = _take("tmp", (max(b, _CHUNK), model.h_spec.hidden_width))
         if tag == "output-error":
             # the innovation feeds nothing, so h's backward runs ahead of the
             # loop, over whole steps stacked into chunks of about _CHUNK rows
@@ -181,16 +195,15 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
             for k in range(0, horizon, step):
                 c = slice(k, k + step)
                 g_hx[c] = mlp_backward(
-                    model.h_spec, h, _rows(g_y[c]), [_rows(a[c]) for a in h_acts],
-                    [_rows(d[c]) for d in h_deltas],
+                    model.h_spec, h, _rows(g_y[c]), [_rows(d[c]) for d in h_deltas],
+                    h_tmp,
                 ).reshape(-1, b, n_x)
-        lam = None  # state adjoint of step k + 1
+        lam = None  # state adjoint of step 0
         for k in reversed(range(horizon)):
             if k + 1 < horizon:
-                g_f[k] = lam
+                # g_f[k] holds the state adjoint of step k + 1
                 g_z = mlp_backward(
-                    model.f_spec, f, lam, [a[k] for a in f_acts],
-                    [d[k] for d in f_deltas],
+                    model.f_spec, f, g_f[k], [d[k] for d in f_deltas], f_tmp
                 )
             if tag == "output-error":
                 g_x = g_hx[k]
@@ -201,13 +214,17 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
                     if tag == "general-innovation":
                         g_e = g_e + g_z[:, n_x + n_u :]
                     else:
-                        g_e = g_e + lam @ model.noise.gain
+                        g_e = g_e + g_f[k] @ model.noise.gain
                 np.negative(g_e, out=g_y[k])
                 g_x = mlp_backward(
-                    model.h_spec, h, g_y[k], [a[k] for a in h_acts],
-                    [d[k] for d in h_deltas],
+                    model.h_spec, h, g_y[k], [d[k] for d in h_deltas], h_tmp
                 )
-            lam = g_x if k + 1 == horizon else g_x + g_z[:, :n_x]
+            if k == 0:
+                lam = g_x if horizon == 1 else g_x + g_z[:, :n_x]
+            elif k + 1 == horizon:
+                g_f[k - 1] = g_x
+            else:
+                np.add(g_x, g_z[:, :n_x], out=g_f[k - 1])
         grads = [lam]
         grads += mlp_block_grads(
             model.f_spec, _rows(cache["f_in"]), [_rows(a) for a in f_acts],

@@ -209,7 +209,7 @@ class SubnetModel:
 
         Innovations are y - y_hat when teacher_forced (requires y_roll) and
         zero otherwise (the innovation's conditional expectation).
-        Returns (y_hat (B,T,n_y), e_hat (B,T,n_y)).
+        Returns (y_hat (B,T,n_y), e_hat (B,T,n_y)). `x0` is never written.
 
         `cache`, when given, is a dict that receives what the loss adjoint
         reads, in (T, B, .) buffers filled step by step: the states "x"
@@ -219,7 +219,13 @@ class SubnetModel:
         workspace (`loss._take`), shared by every cached call: they stay
         valid only until the next call with a cache, so read them before
         making one. Without a cache nothing more than the outputs is
-        kept: the hidden layers reuse one (B, width) buffer each.
+        kept: the state, f's input and each hidden layer reuse one
+        (B, .) buffer each.
+
+        Each step writes h's output straight into `y_hat[:, k]` and f's
+        into the next state's buffer (`mlp_forward`'s `out`), and builds
+        f's input in place. The output-error innovation feeds nothing, so
+        it is formed once after the loop.
 
         The loop runs to the end with overflow and invalid-value warnings
         silenced; afterwards one scan of y_hat raises `NumericError` at the
@@ -228,10 +234,11 @@ class SubnetModel:
         """
         b, horizon = u_roll.shape[:2]
         y_hat = np.empty((b, horizon, self.n_y))
-        e_hat = np.zeros((b, horizon, self.n_y))
         tag = self.noise.tag
+        step_innovation = teacher_forced and tag != "output-error"
+        e_hat = (np.empty if teacher_forced else np.zeros)((b, horizon, self.n_y))
         if cache is None:
-            # one buffer per hidden layer, reused at every step
+            # one buffer per role, reused at every step
             h_acts = [
                 np.empty((b, self.h_spec.hidden_width))
                 for _ in range(self.h_spec.hidden_layers)
@@ -240,6 +247,8 @@ class SubnetModel:
                 np.empty((b, self.f_spec.hidden_width))
                 for _ in range(self.f_spec.hidden_layers)
             ]
+            z = np.empty((b, self.f_spec.in_dim))
+            x_next = np.empty((b, self.n_x))
         else:
             cache["x"] = _take("x", (horizon, b, self.n_x))
             cache["f_in"] = _take("f_in", (horizon - 1, b, self.f_spec.in_dim))
@@ -251,28 +260,30 @@ class SubnetModel:
                 _take(f"f_acts{i}", (horizon - 1, b, self.f_spec.hidden_width))
                 for i in range(self.f_spec.hidden_layers)
             ]
-        x = x0
+            cache["x"][0] = x0
+        x = x0 if cache is None else cache["x"][0]
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(horizon):
                 if cache is not None:
-                    cache["x"][k] = x
                     h_acts = [a[k] for a in cache["h_acts"]]
-                yk = mlp_forward(self.h_spec, self.h_params, x, h_acts)
-                y_hat[:, k] = yk
-                if teacher_forced:
-                    e_hat[:, k] = y_roll[:, k] - yk
+                yk = mlp_forward(self.h_spec, self.h_params, x, h_acts, y_hat[:, k])
+                if step_innovation:
+                    np.subtract(y_roll[:, k], yk, out=e_hat[:, k])
                 if k + 1 == horizon:
                     break
-                if tag == "general-innovation":
-                    z = np.concatenate([x, u_roll[:, k], e_hat[:, k]], axis=1)
-                else:
-                    z = np.concatenate([x, u_roll[:, k]], axis=1)
                 if cache is not None:
-                    cache["f_in"][k] = z
+                    z = cache["f_in"][k]
                     f_acts = [a[k] for a in cache["f_acts"]]
-                x = mlp_forward(self.f_spec, self.f_params, z, f_acts)
+                    x_next = cache["x"][k + 1]
+                if tag == "general-innovation":
+                    np.concatenate([x, u_roll[:, k], e_hat[:, k]], axis=1, out=z)
+                else:
+                    np.concatenate([x, u_roll[:, k]], axis=1, out=z)
+                x = mlp_forward(self.f_spec, self.f_params, z, f_acts, x_next)
                 if tag == "linear-innovation":
-                    x = x + e_hat[:, k] @ self.noise.gain.T
+                    x += e_hat[:, k] @ self.noise.gain.T
+            if teacher_forced and not step_innovation:
+                np.subtract(y_roll, y_hat, out=e_hat)
         finite = np.isfinite(y_hat).all(axis=(0, 2))
         if not finite.all():
             k = int(np.argmin(finite))

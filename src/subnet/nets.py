@@ -11,10 +11,19 @@ parameter leaf, and `mlp_flat_grad` puts their gradients back together in
 layout order.
 
 The rollout is differentiated by hand instead: `mlp_forward` computes each
-hidden activation in a caller's buffer, `mlp_backward` turns an output
-adjoint into the input adjoint and stores every hidden layer's delta, and
+hidden activation in a caller's buffer (and its output in another, when
+given), `mlp_act_grads` turns the activations of all steps at once into
+their derivatives, `mlp_backward` turns an output adjoint into the input
+adjoint and completes every hidden layer's delta in place, and
 `mlp_block_grads` forms each weight block's gradient with one matmul over
 the deltas and inputs of all steps stacked into (T*B, .) rows.
+
+At B=1 these calls cost more in numpy's per-call overhead than in
+arithmetic, so the per-step functions make as few calls as they can: the
+biases are bound as (1, width) rows, since a broadcast of a (width,)
+vector costs twice as much at B=1, and nothing is allocated that a caller
+can provide. Each change of this kind moves an elementwise operation or
+drops a copy, so the results stay the same to the last bit.
 """
 
 from __future__ import annotations
@@ -140,9 +149,11 @@ class MlpParams:
             for key, off, shape in spec.layout()
         }
         # (w.T, b) per layer; the transposes stay views, since a contiguous
-        # copy changes the matmul's summation order and so its last bits
+        # copy changes the matmul's summation order and so its last bits.
+        # The biases are (1, width) views: adding one to a (1, width) row
+        # costs half as much as broadcasting a (width,) vector
         self.layers = [
-            (self._views[f"w{i}"].T, self._views[f"b{i}"])
+            (self._views[f"w{i}"].T, self._views[f"b{i}"][None, :])
             for i in range(spec.hidden_layers + 1)
         ]
         self.bypass_t = self._views["bypass"].T if spec.bypass else None
@@ -173,14 +184,16 @@ def init_xavier(spec: MlpSpec, rng) -> MlpParams:
     return params
 
 
-def mlp_forward(spec: MlpSpec, params: MlpParams, x, acts=None):
+def mlp_forward(spec: MlpSpec, params: MlpParams, x, acts=None, out=None):
     """Plain numpy forward pass; accepts (in,) or batched (B, in) input.
 
     `acts`, when given, holds one (B, hidden_width) buffer per hidden layer,
     and each hidden layer is computed in place in its buffer: a caller that
     passes the same buffers at every step allocates no (B, hidden_width)
     temporaries, and one that keeps them has the activations for
-    `mlp_backward`.
+    `mlp_backward`. `out`, when given, is a (B, out_dim) buffer, which may
+    be a strided view, that receives the output; it must not overlap `x`.
+    The returned array is then `out` itself.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
@@ -195,35 +208,48 @@ def mlp_forward(spec: MlpSpec, params: MlpParams, x, acts=None):
         z = z @ w_t if acts is None else np.matmul(z, w_t, out=acts[i])
         z += b
         act(z, out=z)
-    z = z @ w_out_t
+    z = z @ w_out_t if out is None else np.matmul(z, w_out_t, out=out)
     z += b_out
     if params.bypass_t is not None:
         z += x @ params.bypass_t
     return z[0] if single else z
 
 
-def mlp_backward(spec: MlpSpec, params: MlpParams, g, acts, deltas):
-    """Input adjoint of `mlp_forward` for the output adjoint g (B, out_dim).
+def mlp_act_grads(spec: MlpSpec, acts, deltas):
+    """Write the activation derivative of every hidden layer into `deltas`.
 
-    `acts` are the hidden activations `mlp_forward` cached for this input;
-    each hidden layer's delta (the adjoint of its pre-activation) is stored
-    into `deltas`, one (B, hidden_width) buffer per hidden layer. The output
-    layer's delta is g itself.
+    `acts` are hidden activations that `mlp_forward` cached, of any shape
+    (for a rollout, those of all steps stacked); `deltas` are buffers of the
+    same shapes. This is the first half of each hidden layer's delta, which
+    `mlp_backward` completes in place.
     """
     d_act = _ACT_GRAD[spec.activation]
-    # every hidden-layer step writes into preallocated buffers: fresh
-    # (B, width) temporaries cost more than the arithmetic at B=256
-    tmp = np.empty_like(deltas[0]) if deltas else None
+    for a, d in zip(acts, deltas):
+        d_act(a, d)
+
+
+def mlp_backward(spec: MlpSpec, params: MlpParams, g, deltas, tmp):
+    """Input adjoint of `mlp_forward` for the output adjoint g (B, out_dim).
+
+    `deltas` hold one (B, hidden_width) buffer per hidden layer, which on
+    entry holds that layer's activation derivative (`mlp_act_grads`) and on
+    return its delta (the adjoint of its pre-activation). The output
+    layer's delta is g itself. `tmp` is a scratch (N, hidden_width) buffer
+    with N >= B; its contents are overwritten.
+    """
+    if spec.hidden_layers and len(tmp) != len(g):
+        tmp = tmp[: len(g)]
     delta = g
     for i in reversed(range(spec.hidden_layers)):
         w = params.view(f"w{i + 1}")
         if delta.shape[1] == 1:
             # an outer product (one output): the broadcast multiply gives
             # the matmul's numbers in half its time
-            np.multiply(delta, w, out=deltas[i])
+            np.multiply(delta, w, out=tmp)
         else:
-            np.matmul(delta, w, out=deltas[i])
-        d_act(acts[i], tmp)
+            np.matmul(delta, w, out=tmp)
+        # (delta @ w) * act' with the factors swapped: IEEE multiplication
+        # commutes, so the bits are the same
         deltas[i] *= tmp
         delta = deltas[i]
     g_in = delta @ params.view("w0")

@@ -126,3 +126,22 @@ def test_overlap_variance_mc_deterministic():
     assert a == overlap_variance_mc(4, 128, 100, seed=5)
     with pytest.raises(ValueError):
         overlap_variance_mc(16, 8, 10)
+
+
+def test_overlap_variance_mc_needs_one_no_overlap_section():
+    # N=2, T=2 has one d=1 section and no whole d=T stride: a ValueError,
+    # not the NaN variance of an empty mean
+    with pytest.raises(ValueError, match="2\\*horizon - 1 = 3"):
+        overlap_variance_mc(2, 2, 5)
+    assert np.isfinite(overlap_variance_mc(2, 3, 5)).all()
+
+
+def test_nrms_overflow_is_inf_without_warning():
+    # a finite prediction error whose square overflows (the suite turns a
+    # RuntimeWarning into a failure)
+    assert nrms(np.array([0.0, 1.0, 2.0]), np.array([1e200, 0.0, 0.0])) == np.inf
+    model = build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=3, seed=0)
+    model.h_params.view("b1")[:] = 1e200
+    rng = np.random.default_rng(0)
+    profile = kstep_nrms(model, IoDataset(rng.normal(size=30), rng.normal(size=30)), 2)
+    assert np.all(profile.values == np.inf)

@@ -304,12 +304,34 @@ def test_eval_kstep_csv_spans_write_chunks(tmp_path):
         ("model", "n_b", -1, "model.n_b must be >= 0, got -1"),
         ("eval", "checkpoint", 5, "eval.checkpoint must be a JSON string, got 5"),
         ("eval", "skip", 0, "unknown config key: eval.skip"),
+        (None, "seed", 1.5, "seed must be a JSON integer, got 1.5"),
+        (None, "seed", -1, "seed must be >= 0, got -1"),
+        ("data", "generator.seed", 1.5,
+         "data.generator.seed must be a JSON integer, got 1.5"),
+        ("data", "generator.n_samples", 50, "unknown config key: data.generator.n_samples"),
+        ("data", "split.train_len", 1.5, "data.split.train_len must be a JSON integer, got 1.5"),
+        ("data", "split.val_len", -60, "data.split.val_len must be >= 0, got -60"),
+        ("analyze", "n_trials", 1.5, "analyze.n_trials must be a JSON integer, got 1.5"),
+        ("analyze", "n_trials", 1, "analyze.n_trials must be >= 2, got 1"),
+        ("analyze", "max_horizon_sweep", "x",
+         'analyze.max_horizon_sweep must be a JSON integer, got "x"'),
+        ("analyze", "horizons", 4, "analyze.horizons must be a JSON list, got 4"),
+        ("analyze", "horizons", [4, 8.5],
+         "analyze.horizons must be a JSON list of integers, got [4, 8.5]"),
+        ("analyze", "horizons", [0], "analyze.horizons must be >= 1, got [0]"),
+        ("analyze", "record_lengths", [256, True],
+         "analyze.record_lengths must be a JSON list of integers, got [256, true]"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, value,
                                     message):
+    # `key` may be a dotted path below `section`; a `section` of None is the root
     cfg_dict = train_cfg_dict(small_csvs, tmp_path / "run")
-    cfg_dict.setdefault(section, {})[key] = value
+    node = cfg_dict if section is None else cfg_dict.setdefault(section, {})
+    *parents, last = key.split(".")
+    for parent in parents:
+        node = node.setdefault(parent, {})
+    node[last] = value
     cfg = write_config(tmp_path, cfg_dict)
     command = ["train"]
     if section == "eval":
@@ -319,6 +341,31 @@ def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, 
     assert main(["--config", cfg, *command]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_partial_split_names_missing_length(tmp_path, capsys):
+    save_csv(generate_sim_system(SimSystemConfig(n_samples=150, seed=0)), tmp_path / "full.csv")
+    cfg = write_config(tmp_path, {
+        "data": {"csv": str(tmp_path / "full.csv"),
+                 "split": {"train_len": 60, "test_len": 50}},
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["--config", cfg, "generate"]) == 2
+    err = capsys.readouterr().err
+    assert "data.csv requires data.split.val_len" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "train.csv").exists()
+
+
+def test_analyze_lists_of_unequal_length_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "analyze": {"horizons": [2, 3], "record_lengths": [20], "n_trials": 3,
+                    "max_horizon_sweep": 2},
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["--config", cfg, "analyze"]) == 2
+    assert "analyze.horizons and analyze.record_lengths must have the same length" in (
+        capsys.readouterr().err
+    )
 
 
 def test_eval_bad_checkpoint_header_is_io_error(tmp_path, small_csvs, capsys):
@@ -455,6 +502,18 @@ _VALID_VALUES = {
     "train.budget_s": st.one_of(st.floats(), st.none()),
     "eval.k_max": st.integers(0, 3),
     "eval.checkpoint": st.text(max_size=4),
+    "seed": st.integers(0, 3),
+    # data.generator is left out: it simulates 23000 samples per example
+    "data.csv": st.text(max_size=4),
+    "data.n_u": st.just(1),
+    "data.n_y": st.just(1),
+    "data.split.train_len": st.integers(0, 80),
+    "data.split.val_len": st.integers(0, 60),
+    "data.split.test_len": st.integers(0, 60),
+    "analyze.n_trials": st.integers(2, 5),
+    "analyze.max_horizon_sweep": st.integers(0, 3),
+    "analyze.horizons": st.lists(st.integers(1, 4), max_size=2),
+    "analyze.record_lengths": st.lists(st.integers(1, 12), max_size=2),
 }
 
 
@@ -467,9 +526,8 @@ def _config_values(draw):
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
-    for name, n_samples, seed in (("train", 60, 0), ("val", 40, 1), ("test", 50, 2)):
-        ds = generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=n_samples, seed=seed))
-        save_csv(ds, path / f"{name}.csv")
+    ds = generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=150, seed=0))
+    save_csv(ds, path / "full.csv")
     save_model(build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=3), path / "model.bin")
     return path
 
@@ -478,17 +536,112 @@ def fuzz_dir(tmp_path_factory):
 @given(values=_config_values())
 def test_config_fuzz_exits_with_a_code(fuzz_dir, values):
     cfg = {
-        "data": {f"{name}_csv": str(fuzz_dir / f"{name}.csv")
-                 for name in ("train", "val", "test")},
+        "data": {"csv": str(fuzz_dir / "full.csv"),
+                 "split": {"train_len": 60, "val_len": 40, "test_len": 50}},
         "model": {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 3},
         "train": {"horizon": 3, "batch_size": 16, "max_epochs": 2, "patience": 2},
         "eval": {},
+        "analyze": {"n_trials": 3, "max_horizon_sweep": 2, "horizons": [2],
+                    "record_lengths": [8]},
         "out": str(fuzz_dir / "out"),
     }
     for where, value in values.items():
-        section, key = where.split(".")
-        cfg[section][key] = value
+        *parents, key = where.split(".")
+        node = cfg
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
     path = write_config(fuzz_dir, cfg)
     assert main(["--config", path, "train"]) in (0, 2, 3, 4)
     flags = [] if "eval.checkpoint" in values else ["--checkpoint", str(fuzz_dir / "model.bin")]
     assert main(["--config", path, "eval", *flags]) in (0, 2, 3, 4)
+    assert main(["--config", path, "analyze"]) in (0, 2, 3, 4)
+
+
+@pytest.fixture(scope="module")
+def eval_fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("eval_fuzz")
+    save_csv(generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=40, seed=2)),
+             path / "test.csv")
+    save_model(build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=3), path / "model.bin")
+    return path
+
+
+def _eval_exit_code(path, checkpoint, test_csv):
+    cfg = write_config(path, {"data": {"test_csv": str(test_csv)}, "out": str(path / "out")})
+    return main(["--config", cfg, "eval", "--checkpoint", str(checkpoint), "--kmax", "2"])
+
+
+# a byte edit of a checkpoint: a flipped byte, a cut, or bytes spliced in
+_BYTE_EDITS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 2000), st.integers(1, 255)),
+    st.tuples(st.just("cut"), st.integers(0, 2000)),
+    st.tuples(st.just("splice"), st.integers(0, 2000), st.binary(max_size=12)),
+)
+# header fields a JSON edit may set, nested ones written with a dot
+_HEADER_PATHS = [
+    "n_x", "n_u", "n_y", "n_a", "n_b", "noise", "blocks", "norm", "f_spec",
+    "h_spec.in_dim", "h_spec.hidden_layers", "f_spec.hidden_width",
+    "psi_spec.activation", "f_spec.bypass", "norm.y_std", "norm.u_mean",
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    byte_edits=st.lists(_BYTE_EDITS, max_size=3),
+    header_edit=st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(_HEADER_PATHS),
+                  st.one_of(_ANY_VALUE, st.integers(-1, 40), st.sampled_from(NOISE_STRUCTURES))),
+    ),
+)
+def test_checkpoint_fuzz_exits_with_a_code(eval_fuzz_dir, byte_edits, header_edit):
+    raw = bytearray((eval_fuzz_dir / "model.bin").read_bytes())
+    if header_edit is not None:
+        # rewrite the header with one field changed and its length updated
+        size = int.from_bytes(raw[7:11], "little")
+        header = json.loads(raw[11 : 11 + size])
+        *parents, key = header_edit[0].split(".")
+        node = header
+        for parent in parents:
+            node = node[parent]
+        node[key] = header_edit[1]
+        text = json.dumps(header).encode()
+        raw[7:] = len(text).to_bytes(4, "little") + text + raw[11 + size :]
+    for kind, pos, *arg in byte_edits:
+        pos %= len(raw) + 1
+        if kind == "flip" and pos < len(raw):
+            raw[pos] ^= arg[0]
+        elif kind == "cut":
+            del raw[pos:]
+        elif kind == "splice":
+            raw[pos:pos] = arg[0]
+    checkpoint = eval_fuzz_dir / "fuzzed.bin"
+    checkpoint.write_bytes(bytes(raw))
+    assert _eval_exit_code(eval_fuzz_dir, checkpoint, eval_fuzz_dir / "test.csv") in (0, 2, 3, 4)
+
+
+# a CSV cell: mostly a number, sometimes text that is almost one
+_CSV_CELLS = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats().map(repr),
+    st.integers(-5, 5).map(str),
+    st.text(alphabet="0123456789.-+eEinfa \t\"'", max_size=5),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    header=st.sampled_from(["u1,y1", " u1 , y1 ", "y1,u1", "u1,y1,y2", "u1", ""]),
+    rows=st.one_of(
+        st.lists(st.lists(_CSV_CELLS, min_size=1, max_size=3), max_size=14),
+        # two numbers a row, so that some examples run the whole eval
+        st.lists(st.lists(st.floats(-1e3, 1e3).map(repr), min_size=2, max_size=2),
+                 max_size=14),
+    ),
+    newline=st.sampled_from(["\n", "\r\n"]),
+)
+def test_csv_fuzz_exits_with_a_code(eval_fuzz_dir, header, rows, newline):
+    test_csv = eval_fuzz_dir / "fuzzed.csv"
+    test_csv.write_text(newline.join([header] + [",".join(row) for row in rows]))
+    assert _eval_exit_code(eval_fuzz_dir, eval_fuzz_dir / "model.bin", test_csv) in (0, 2, 3, 4)

@@ -14,12 +14,14 @@ from subnet.autodiff import NumericError
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
 from subnet.loss import _enc_windows, _roll_windows
 from subnet.model import (
+    NOISE_STRUCTURES,
     CheckpointError,
     Normalization,
     build_model,
     load_model,
     save_model,
 )
+from subnet.nets import mlp_forward
 from subnet.optim import fit_normalization
 
 
@@ -155,8 +157,6 @@ def test_kstep_zero_column_equals_encoder_output_map():
     rng = np.random.default_rng(4)
     ds = IoDataset(rng.normal(size=(40, 1)), rng.normal(size=(40, 1)))
     t_idx, preds = model.kstep_predictions(ds, k_max=0)
-    from subnet.nets import mlp_forward
-
     for i, t in enumerate(t_idx[:5]):
         x0 = model.encode(ds.u[t - 3 : t], ds.y[t - 3 : t + 1])
         expect = mlp_forward(model.h_spec, model.h_params, x0)
@@ -287,6 +287,50 @@ def test_rollout_numeric_error_carries_step():
         with pytest.raises(NumericError, match="non-finite prediction at step 3") as err:
             model.rollout_batch(np.zeros((2, 1)), u, teacher_forced=False)
     assert err.value.index == 3
+
+
+@pytest.mark.parametrize("noise", NOISE_STRUCTURES)
+@pytest.mark.parametrize("b", [1, 7])
+def test_rollout_in_place_buffers(noise, b):
+    # the rollout writes h into y_hat, f into the next state's buffer and f's
+    # input in place; against a loop of allocating mlp_forward calls, the
+    # caller's x0 stays unwritten and every output and cache row is the same
+    model = build_model(3, 1, 2, 2, 2, noise=noise, hidden_layers=2, hidden_width=5,
+                        seed=1)
+    rng = np.random.default_rng(2)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = rng.normal(0, 0.3, size=(3, 2))
+    if noise == "general-innovation":
+        model.f_params.view("w0")[:, -2:] = rng.normal(0, 0.3, size=(5, 2))
+    horizon = 6
+    x0 = rng.normal(size=(b, 3))
+    u = rng.normal(size=(b, horizon, 1))
+    y = rng.normal(size=(b, horizon, 2))
+    x0_before = x0.copy()
+    cache = {}
+    y_hat, e_hat = model.rollout_batch(x0, u, y, cache=cache)
+    assert np.array_equal(x0, x0_before)
+    y_plain, e_plain = model.rollout_batch(x0, u, y)
+    assert np.array_equal(x0, x0_before)
+    assert np.array_equal(y_hat, y_plain) and np.array_equal(e_hat, e_plain)
+    free_y, free_e = model.rollout_batch(x0, u, teacher_forced=False)
+    assert np.array_equal(x0, x0_before) and not free_e.any()
+
+    x = x0_before
+    for k in range(horizon):
+        assert np.array_equal(cache["x"][k], x)
+        yk = mlp_forward(model.h_spec, model.h_params, x)
+        assert np.array_equal(y_hat[:, k], yk)
+        e = y[:, k] - yk
+        assert np.array_equal(e_hat[:, k], e)
+        if k + 1 == horizon:
+            break
+        parts = [x, u[:, k]] + ([e] if noise == "general-innovation" else [])
+        z = np.concatenate(parts, axis=1)
+        assert np.array_equal(cache["f_in"][k], z)
+        x = mlp_forward(model.f_spec, model.f_params, z)
+        if noise == "linear-innovation":
+            x = x + e @ model.noise.gain.T
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -7,6 +7,7 @@ from subnet.nets import (
     MlpParams,
     MlpSpec,
     init_xavier,
+    mlp_act_grads,
     mlp_backward,
     mlp_block_grads,
     mlp_flat_grad,
@@ -158,7 +159,8 @@ def test_backward_matches_graph(activation, hidden_layers, bypass, out_dim):
     out = mlp_forward(spec, params, x, acts)
     assert np.array_equal(out, mlp_forward(spec, params, x))
     deltas = [np.empty((6, 5)) for _ in range(hidden_layers)]
-    g_in = mlp_backward(spec, params, g, acts, deltas)
+    mlp_act_grads(spec, acts, deltas)
+    g_in = mlp_backward(spec, params, g, deltas, np.empty((8, 5)))
     blocks = mlp_block_grads(spec, x, acts, deltas, g)
 
     tape = Tape()
@@ -169,6 +171,22 @@ def test_backward_matches_graph(activation, hidden_layers, bypass, out_dim):
     assert np.allclose(g_in.ravel(), ref["x"], rtol=1e-12, atol=1e-14)
     assert np.allclose(np.concatenate([b.ravel() for b in blocks]),
                        mlp_flat_grad(spec, "p", ref), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("bypass", [True, False])
+@pytest.mark.parametrize("out_dim", [1, 2])
+@pytest.mark.parametrize("b", [1, 7])
+def test_forward_into_strided_out_matches_allocating(bypass, out_dim, b):
+    # the output written into step 1 of a (B, T, out) buffer, as the rollout
+    # writes y_hat[:, k], is the allocating call's to the last bit
+    spec = MlpSpec(3, out_dim, hidden_layers=2, hidden_width=5, bypass=bypass)
+    params = init_xavier(spec, 2)
+    x = np.random.default_rng(3).normal(size=(b, 3))
+    y_hat = np.full((b, 4, out_dim), np.nan)
+    got = mlp_forward(spec, params, x, [np.empty((b, 5)) for _ in range(2)], y_hat[:, 1])
+    assert np.shares_memory(got, y_hat)
+    assert np.array_equal(y_hat[:, 1], mlp_forward(spec, params, x))
+    assert np.isnan(y_hat[:, [0, 2, 3]]).all()
 
 
 def test_forward_sees_in_place_flat_updates():
