@@ -23,7 +23,10 @@ role, grown when a call needs more and otherwise reused, so a training run
 does not allocate (and page-fault) them afresh at every batch. Its one
 rule: a gradient call's buffers stay valid only until the next gradient
 call. This holds because every tape is backpropagated inside the loss call
-that built it.
+that built it. Besides the (T, B, .) roles there is one small role, "tmp":
+the (max(B, _CHUNK), width) scratch rows that `nets.mlp_backward` writes
+each hidden layer's back-propagated adjoint into before it multiplies in
+the activation derivative.
 """
 
 from __future__ import annotations
@@ -179,27 +182,40 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
         g_f = _take("g_f", (horizon - 1, b, n_x))  # f's output adjoint
         f_deltas = [_take(f"f_deltas{i}", a.shape) for i, a in enumerate(f_acts)]
         h_deltas = [_take(f"h_deltas{i}", a.shape) for i, a in enumerate(h_acts)]
-        # the activation derivatives of all steps at once; each step's
-        # mlp_backward then completes its deltas in place
-        mlp_act_grads(model.f_spec, f_acts, f_deltas)
-        mlp_act_grads(model.h_spec, h_acts, h_deltas)
         # mlp_backward's scratch rows; f and h never use it at the same time
         f_tmp = _take("tmp", (max(b, _CHUNK), model.f_spec.hidden_width))
         h_tmp = _take("tmp", (max(b, _CHUNK), model.h_spec.hidden_width))
+        # each mlp_backward call completes deltas that hold the activation
+        # derivatives; these are formed a chunk of whole steps (about _CHUNK
+        # rows) at a time, just before the steps that read them, so that
+        # they are still in cache at B=256 and cost few calls at B=1
+        step = max(1, _CHUNK // b)
         if tag == "output-error":
             # the innovation feeds nothing, so h's backward runs ahead of the
-            # loop, over whole steps stacked into chunks of about _CHUNK rows
+            # loop, over the same chunks of steps stacked into rows
             np.negative(d_err, out=g_y)
             g_hx = _take("g_hx", (horizon, b, n_x))
-            step = max(1, _CHUNK // b)
             for k in range(0, horizon, step):
                 c = slice(k, k + step)
+                mlp_act_grads(
+                    model.h_spec, [a[c] for a in h_acts], [d[c] for d in h_deltas]
+                )
                 g_hx[c] = mlp_backward(
                     model.h_spec, h, _rows(g_y[c]), [_rows(d[c]) for d in h_deltas],
                     h_tmp,
                 ).reshape(-1, b, n_x)
         lam = None  # state adjoint of step 0
         for k in reversed(range(horizon)):
+            if k + 1 == horizon or (k + 1) % step == 0:
+                # the chunk of steps that ends at k (f has one step fewer)
+                c = slice(k - k % step, k + 1)
+                mlp_act_grads(
+                    model.f_spec, [a[c] for a in f_acts], [d[c] for d in f_deltas]
+                )
+                if tag != "output-error":
+                    mlp_act_grads(
+                        model.h_spec, [a[c] for a in h_acts], [d[c] for d in h_deltas]
+                    )
             if k + 1 < horizon:
                 # g_f[k] holds the state adjoint of step k + 1
                 g_z = mlp_backward(

@@ -12,7 +12,7 @@ layout order.
 
 The rollout is differentiated by hand instead: `mlp_forward` computes each
 hidden activation in a caller's buffer (and its output in another, when
-given), `mlp_act_grads` turns the activations of all steps at once into
+given), `mlp_act_grads` turns the activations of many steps at once into
 their derivatives, `mlp_backward` turns an output adjoint into the input
 adjoint and completes every hidden layer's delta in place, and
 `mlp_block_grads` forms each weight block's gradient with one matmul over
@@ -219,8 +219,8 @@ def mlp_act_grads(spec: MlpSpec, acts, deltas):
     """Write the activation derivative of every hidden layer into `deltas`.
 
     `acts` are hidden activations that `mlp_forward` cached, of any shape
-    (for a rollout, those of all steps stacked); `deltas` are buffers of the
-    same shapes. This is the first half of each hidden layer's delta, which
+    (for a rollout, those of a chunk of steps stacked); `deltas` are buffers
+    of the same shapes. This is the first half of each hidden layer's delta, which
     `mlp_backward` completes in place.
     """
     d_act = _ACT_GRAD[spec.activation]
