@@ -150,8 +150,8 @@ class MlpParams:
         }
         # (w.T, b) per layer; the transposes stay views, since a contiguous
         # copy changes the matmul's summation order and so its last bits.
-        # The biases are (1, width) views: adding one to a (1, width) row
-        # costs half as much as broadcasting a (width,) vector
+        # The biases are (1, width) views: at B=1, adding one to a (1, width)
+        # row costs half as much as broadcasting a (width,) vector
         self.layers = [
             (self._views[f"w{i}"].T, self._views[f"b{i}"][None, :])
             for i in range(spec.hidden_layers + 1)
