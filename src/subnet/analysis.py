@@ -52,13 +52,12 @@ class KStepProfile:
     values: np.ndarray  # NRMS_{k-step} for k = 0..k_max
     t_idx: np.ndarray  # start times the predictions were made from
     predictions: np.ndarray  # (len(t_idx), k_max+1, n_y), original units
-    truncation_length: int | None = None  # marker position, when known
 
     def __len__(self):
         return len(self.values)
 
 
-def kstep_nrms(model, dataset, k_max, truncation_length=None):
+def kstep_nrms(model, dataset, k_max):
     """k-step prediction NRMS profile averaged over all valid start times."""
     t_idx, preds = model.kstep_predictions(dataset, k_max)
     offs = np.arange(k_max + 1)
@@ -70,7 +69,7 @@ def kstep_nrms(model, dataset, k_max, truncation_length=None):
         mse = np.mean((preds - y_true) ** 2, axis=0)  # (k_max+1, n_y)
         per_channel = np.sqrt(mse) / sigma
         values = np.sqrt(np.mean(per_channel**2, axis=1))
-    return KStepProfile(values, t_idx, preds, truncation_length)
+    return KStepProfile(values, t_idx, preds)
 
 
 def g_of_d(spacing, horizon, m_d):

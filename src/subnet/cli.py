@@ -68,7 +68,8 @@ _SCHEMA = {
 
 
 # the JSON type of each key that must have one; `type(value) is int` also
-# turns away bools, which Python counts as ints
+# turns away bools, which Python counts as ints, and `float` stands for a
+# finite JSON number, integer or not
 _KEY_TYPES = {
     **{f"train.{key}": int for key in (
         "horizon", "spacing", "batch_size", "max_epochs", "patience",
@@ -82,25 +83,44 @@ _KEY_TYPES = {
     **{f"data.{key}": str for key in ("train_csv", "val_csv", "test_csv", "csv")},
     "eval.checkpoint": str,
     "seed": int,
+    "data.n_u": int,
+    "data.n_y": int,
     "data.generator.seed": int,
+    "data.generator.sigma_k": float,
+    "data.generator.sigma_e": float,
     **{f"data.split.{key}": int for key in _SPLIT_KEYS},
+    "train.learning_rate": float,
+    "train.budget_s": float,
+    "compare.budget_s": float,
+    "compare.variants": list,
     "analyze.n_trials": int,
     "analyze.max_horizon_sweep": int,
     "analyze.horizons": list,
     "analyze.record_lengths": list,
 }
-# the keys of _KEY_TYPES that are lists of integers
-_INT_LISTS = {"analyze.horizons", "analyze.record_lengths"}
-# the least value of an integer key, or of each integer in a list key
+# the keys whose JSON null means "no value": a budget of null is no budget
+_NULLABLE = {"train.budget_s", "compare.budget_s"}
+# the type of each item of the list keys
+_LIST_ITEMS = {"analyze.horizons": int, "analyze.record_lengths": int, "compare.variants": str}
+# the least value of a number key, or of each integer in a list key
 _MINIMUM = {
     "model.n_a": 0, "model.n_b": 0, "eval.k_max": 0,
     "seed": 0, "data.generator.seed": 0,
+    "data.n_u": 1, "data.n_y": 1,
+    "data.generator.sigma_k": 0, "data.generator.sigma_e": 0,
     **{f"data.split.{key}": 0 for key in _SPLIT_KEYS},
     # a variance needs two trials; a horizon and a record at least a sample
     "analyze.n_trials": 2, "analyze.max_horizon_sweep": 0,
     "analyze.horizons": 1, "analyze.record_lengths": 1,
 }
-_JSON_NAMES = {int: "integer", bool: "boolean", str: "string", list: "list"}
+_JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", list: "list"}
+
+
+def _has_type(value, kind):
+    if kind is float:
+        # false for NaN, the infinities and an integer too large for a float
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    return type(value) is kind
 
 
 def _validate(node, schema, path=""):
@@ -110,19 +130,22 @@ def _validate(node, schema, path=""):
         where = f"{path}.{key}" if path else key
         if key not in schema:
             raise ConfigError(f"unknown config key: {where}")
+        if value is None and where in _NULLABLE:
+            continue
         kind = _KEY_TYPES.get(where)
-        if kind is not None and type(value) is not kind:
+        if kind is not None and not _has_type(value, kind):
             raise ConfigError(
                 f"config key {where} must be a JSON {_JSON_NAMES[kind]}, "
                 f"got {json.dumps(value)}"
             )
-        if where in _INT_LISTS and any(type(v) is not int for v in value):
+        item = _LIST_ITEMS.get(where)
+        if item is not None and any(type(v) is not item for v in value):
             raise ConfigError(
-                f"config key {where} must be a JSON list of integers, "
+                f"config key {where} must be a JSON list of {_JSON_NAMES[item]}s, "
                 f"got {json.dumps(value)}"
             )
         least = _MINIMUM.get(where)
-        values = value if where in _INT_LISTS else [value]
+        values = value if item is not None else [value]
         if least is not None and any(v < least for v in values):
             raise ConfigError(
                 f"config key {where} must be >= {least}, got {json.dumps(value)}"

@@ -164,19 +164,6 @@ class SubnetModel:
         for name, flat in self.param_blocks().items():
             flat[:] = blocks[name]
 
-    def copy(self):
-        gain = None if self.noise.gain is None else self.noise.gain.copy()
-        return SubnetModel(
-            self.n_x, self.n_u, self.n_y, self.n_a, self.n_b,
-            self.f_spec, self.h_spec, self.psi_spec,
-            self.f_params.copy(), self.h_params.copy(), self.psi_params.copy(),
-            NoiseStructure(self.noise.tag, gain),
-            Normalization(
-                self.norm.u_mean.copy(), self.norm.u_std.copy(),
-                self.norm.y_mean.copy(), self.norm.y_std.copy(),
-            ),
-        )
-
     # -- forward computation (normalized signals) ----------------------------
 
     def encode(self, u_window, y_window):

@@ -161,9 +161,6 @@ class MlpParams:
     def view(self, key):
         return self._views[key]
 
-    def copy(self):
-        return MlpParams(self.spec, self.flat.copy())
-
 
 def xavier_bound(fan_in, fan_out):
     return np.sqrt(6.0 / (fan_in + fan_out))

@@ -59,9 +59,8 @@ def test_kstep_perfect_model_all_zero():
     rng = np.random.default_rng(1)
     u = rng.uniform(-1, 1, size=150)
     ds = IoDataset(u, simulate_linear_toy(u))
-    profile = kstep_nrms(model, ds, k_max=6, truncation_length=4)
+    profile = kstep_nrms(model, ds, k_max=6)
     assert len(profile) == 7
-    assert profile.truncation_length == 4
     assert np.allclose(profile.values, 0.0, atol=1e-10)
 
 
