@@ -8,16 +8,16 @@ state (K * x * e). All generation is deterministic given the seed (numpy
 PCG64 generator, reproducible across platforms).
 
 The generator draws the input and noise records with numpy, then runs the
-state recursion on Python floats, a chunk of `_CHUNK` samples at a time:
-`tolist()` hands over a chunk of inputs and noise, and the chunk's outputs
-go into the preallocated `y` in one assignment. A numpy scalar step costs
-about ten numpy calls per sample. Chunks, rather than whole-record lists,
-keep the peak RSS where it was with the numpy loop. The records are the same
-bits as with numpy float64 scalars: the map uses only `+`, `*` and `/`, in
-the same order, and these round identically on Python floats. The
-divergence test keeps `np.max(np.abs(x)) > 1e6` exactly, including its
-NaN case. `save_csv` writes the same way, one string template per chunk of
-rows.
+state recursion on Python floats, which costs no numpy call per sample (a
+step on numpy float64 scalars makes about ten). It works a chunk of
+`_CHUNK` samples at a time: `tolist()` hands over the chunk's inputs and
+noise, and its outputs go into the preallocated `y` in one assignment.
+Lists of a chunk, not of the whole record, keep the peak RSS where the
+numpy scalar loop had it. The records keep their bits: the map uses only
+`+`, `*` and `/`, in the same order, and these round the same on Python
+floats as on numpy float64 scalars. The divergence test is
+`np.max(np.abs(x)) > 1e6` exactly, NaN case included. `save_csv` works in
+the same chunks, filling one string template per chunk of rows.
 """
 
 from __future__ import annotations

@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subnet.baselines import VARIANTS
 from subnet.cli import main
-from subnet.data import IoDataset, SimSystemConfig, generate_sim_system, load_csv, save_csv
+from subnet.data import (
+    SIM_VARIANTS, IoDataset, SimSystemConfig, generate_sim_system, load_csv, save_csv,
+)
 from subnet.model import NOISE_STRUCTURES, SubnetModel, build_model, load_model, save_model
 from subnet.nets import ACTIVATIONS
 from subnet.optim import VAL_METRICS
@@ -321,6 +324,26 @@ def test_eval_kstep_csv_spans_write_chunks(tmp_path):
         ("analyze", "horizons", [0], "analyze.horizons must be >= 1, got [0]"),
         ("analyze", "record_lengths", [256, True],
          "analyze.record_lengths must be a JSON list of integers, got [256, true]"),
+        ("data", "n_u", 1.5, "data.n_u must be a JSON integer, got 1.5"),
+        ("data", "n_y", 0, "data.n_y must be >= 1, got 0"),
+        ("data", "generator.sigma_e", "x",
+         'data.generator.sigma_e must be a JSON number, got "x"'),
+        ("data", "generator.sigma_e", True,
+         "data.generator.sigma_e must be a JSON number, got true"),
+        ("data", "generator.sigma_e", 10**400,
+         "data.generator.sigma_e must be a JSON number, got 1000"),
+        ("data", "generator.sigma_k", -1, "data.generator.sigma_k must be >= 0, got -1"),
+        ("data", "generator.sigma_k", float("inf"),
+         "data.generator.sigma_k must be a JSON number, got Infinity"),
+        ("train", "learning_rate", "x", 'train.learning_rate must be a JSON number, got "x"'),
+        ("train", "learning_rate", float("nan"),
+         "train.learning_rate must be a JSON number, got NaN"),
+        ("train", "budget_s", True, "train.budget_s must be a JSON number, got true"),
+        ("compare", "budget_s", True, "compare.budget_s must be a JSON number, got true"),
+        ("compare", "variants", "encoder-overlap",
+         'compare.variants must be a JSON list, got "encoder-overlap"'),
+        ("compare", "variants", ["encoder-overlap", 3],
+         'compare.variants must be a JSON list of strings, got ["encoder-overlap", 3]'),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, value,
@@ -341,6 +364,13 @@ def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, 
     assert main(["--config", cfg, *command]) == 2
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_number_keys_take_integers_and_a_null_budget(tmp_path, small_csvs):
+    # a JSON number needs no fraction, and a null budget is no budget
+    cfg_dict = train_cfg_dict(small_csvs, tmp_path / "run", learning_rate=1, budget_s=None,
+                              max_epochs=0)
+    assert main(["--config", write_config(tmp_path, cfg_dict), "train"]) == 0
 
 
 def test_partial_split_names_missing_length(tmp_path, capsys):
@@ -503,7 +533,9 @@ _VALID_VALUES = {
     "eval.k_max": st.integers(0, 3),
     "eval.checkpoint": st.text(max_size=4),
     "seed": st.integers(0, 3),
-    # data.generator is left out: it simulates 23000 samples per example
+    # data.generator is left out: training on its 10000-sample split takes
+    # seconds per example; test_generator_config_fuzz_exits_with_a_code
+    # covers its keys
     "data.csv": st.text(max_size=4),
     "data.n_u": st.just(1),
     "data.n_y": st.just(1),
@@ -514,13 +546,17 @@ _VALID_VALUES = {
     "analyze.max_horizon_sweep": st.integers(0, 3),
     "analyze.horizons": st.lists(st.integers(1, 4), max_size=2),
     "analyze.record_lengths": st.lists(st.integers(1, 12), max_size=2),
+    # read by `compare` only, which the fuzz does not run, but checked by
+    # every command when the config is read
+    "compare.variants": st.lists(st.sampled_from(VARIANTS), max_size=2),
+    "compare.budget_s": st.one_of(st.floats(), st.none()),
 }
 
 
 @st.composite
-def _config_values(draw):
-    keys = draw(st.lists(st.sampled_from(sorted(_VALID_VALUES)), max_size=3, unique=True))
-    return {key: draw(st.one_of(_VALID_VALUES[key], _ANY_VALUE)) for key in keys}
+def _config_values(draw, valid=_VALID_VALUES):
+    keys = draw(st.lists(st.sampled_from(sorted(valid)), max_size=3, unique=True))
+    return {key: draw(st.one_of(valid[key], _ANY_VALUE)) for key in keys}
 
 
 @pytest.fixture(scope="module")
@@ -541,6 +577,7 @@ def test_config_fuzz_exits_with_a_code(fuzz_dir, values):
         "model": {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 3},
         "train": {"horizon": 3, "batch_size": 16, "max_epochs": 2, "patience": 2},
         "eval": {},
+        "compare": {},
         "analyze": {"n_trials": 3, "max_horizon_sweep": 2, "horizons": [2],
                     "record_lengths": [8]},
         "out": str(fuzz_dir / "out"),
@@ -556,6 +593,24 @@ def test_config_fuzz_exits_with_a_code(fuzz_dir, values):
     flags = [] if "eval.checkpoint" in values else ["--checkpoint", str(fuzz_dir / "model.bin")]
     assert main(["--config", path, "eval", *flags]) in (0, 2, 3, 4)
     assert main(["--config", path, "analyze"]) in (0, 2, 3, 4)
+
+
+# the generator's keys; `generate` alone runs on them, as training on the
+# generated 10000-sample split would take seconds per example
+_GENERATOR_VALUES = {
+    "variant": st.sampled_from(SIM_VARIANTS),
+    "sigma_k": st.floats(min_value=0.0),
+    "sigma_e": st.floats(min_value=0.0),
+    "seed": st.integers(0, 3),
+}
+
+
+@settings(max_examples=50, deadline=None)
+@given(values=_config_values(_GENERATOR_VALUES))
+def test_generator_config_fuzz_exits_with_a_code(fuzz_dir, values):
+    cfg = {"data": {"generator": values}, "out": str(fuzz_dir / "generated")}
+    path = write_config(fuzz_dir, cfg)
+    assert main(["--config", path, "--force", "generate"]) in (0, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,10 @@
+import csv
+import hashlib
+
 import numpy as np
 import pytest
 
+from subnet import data
 from subnet.data import (
     BENCHMARK_SPLIT_SIZES,
     SIGMA_E_20DB,
@@ -173,3 +177,111 @@ def test_dataset_rejects_nonfinite_and_mismatch():
         IoDataset(np.array([0.0, np.nan]), np.zeros(2))
     with pytest.raises(ValueError):
         IoDataset(np.zeros(3), np.zeros(4))
+
+
+def _reference_generate(config):
+    """The generator as a loop of `sim_system_step` on np.float64 scalars."""
+    rng = np.random.default_rng(config.seed)
+    n = config.n_samples
+    u = rng.uniform(*config.input_range, size=n)
+    e = rng.normal(0.0, config.sigma_e, size=n) if config.sigma_e > 0 else np.zeros(n)
+    x = np.zeros(2)
+    y = np.empty(n)
+    for k in range(n):
+        y[k] = x[0] + e[k]
+        x = sim_system_step(x, u[k], e[k], config.variant, config.gain)
+        if np.max(np.abs(x)) > 1e6:
+            raise InstabilityError(f"state diverged at step {k}", step=k)
+    return IoDataset(u[:, None], y[:, None])
+
+
+def _outcome(generate, config):
+    """The record's bytes, or the error's type, message and step."""
+    try:
+        with np.errstate(all="ignore"):  # the numpy reference warns on overflow
+            ds = generate(config)
+    except (InstabilityError, ValueError) as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "step", None)
+    return ds.u.tobytes(), ds.y.tobytes()
+
+
+CHUNK_SIZES = (1, data._CHUNK - 1, data._CHUNK, data._CHUNK + 1, 2500)
+
+
+@pytest.mark.parametrize("variant", data.SIM_VARIANTS)
+@pytest.mark.parametrize("sigma_k", [0.0, 2.0])
+@pytest.mark.parametrize("sigma_e", [0.0, SIGMA_E_20DB, 1.0])
+def test_generator_matches_numpy_scalar_reference(variant, sigma_k, sigma_e):
+    for n_samples in CHUNK_SIZES:
+        cfg = SimSystemConfig(variant=variant, sigma_k=sigma_k, sigma_e=sigma_e,
+                              n_samples=n_samples, seed=[n_samples, 1])
+        assert _outcome(generate_sim_system, cfg) == _outcome(_reference_generate, cfg)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error",
+    [
+        # the state passes 1e6 at some step: both raise there
+        (dict(variant="linear-process-noise", sigma_k=1e7, sigma_e=10.0, seed=0,
+              n_samples=2500), "InstabilityError"),
+        # at step 1 the noise overflows to inf: x1 turns NaN while |x2| is
+        # inf, which np.max(np.abs(x)) does not count as diverged, so the
+        # NaN record is turned away only as non-finite
+        (dict(variant="nonlinear-process-noise", sigma_k=1.0, sigma_e=1e308, seed=19,
+              n_samples=50), "ValueError"),
+    ],
+)
+def test_generator_matches_reference_on_diverging_configs(kwargs, error):
+    cfg = SimSystemConfig(**kwargs)
+    outcome = _outcome(generate_sim_system, cfg)
+    assert outcome[0] == error
+    assert outcome == _outcome(_reference_generate, cfg)
+
+
+# SHA-256 of the u and y bytes of the train, val and test records, in that
+# order, as the numpy scalar generator made them; seeds 0-2 feed the slow
+# acceptance gate and 3 and 5 the benchmark
+BENCHMARK_SPLIT_DIGESTS = {
+    0: "f2820ecf6eea0e6da495b3726dcf49a48c972db5ae2350dce9902c747a84498b",
+    1: "88953b0b1565bba4483afee3c1ddfc76e2b8a28be6d4d3822e047d1e10870c83",
+    2: "ca9fdfef1e24d6acad92eeb2261423374620d903fc0fabc006101c436fe6075a",
+    3: "a659fc825ad77de5e20eb1be9b776c38be537daa6c53d4e6758b7c5f4003d7d0",
+    5: "6ea605145bdf02034c9c3cb3d03fc0bf33dac34ddd7b3a46b86535f3e61aa3a1",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(BENCHMARK_SPLIT_DIGESTS))
+def test_benchmark_splits_golden_digest(seed):
+    digest = hashlib.sha256()
+    for ds in benchmark_splits(seed):
+        digest.update(ds.u.tobytes())
+        digest.update(ds.y.tobytes())
+    assert digest.hexdigest() == BENCHMARK_SPLIT_DIGESTS[seed]
+
+
+def _reference_save_csv(dataset, path):
+    """`save_csv` as one `csv.writer` row per sample."""
+    header = [f"u{i + 1}" for i in range(dataset.n_u)] + [
+        f"y{i + 1}" for i in range(dataset.n_y)
+    ]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row_u, row_y in zip(dataset.u, dataset.y):
+            writer.writerow([f"{v:.17g}" for v in row_u] + [f"{v:.17g}" for v in row_y])
+
+
+def test_save_csv_writes_csv_writer_bytes(tmp_path):
+    rng = np.random.default_rng(11)
+    n = 2 * data._CHUNK + 37  # two whole chunks and a part
+    u = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-300, 300, size=(n, 2))
+    y = rng.normal(size=(n, 2))
+    # extremes on both sides of the first chunk boundary
+    u[data._CHUNK - 1] = [1e300, -0.0]
+    y[data._CHUNK] = [5e-324, -1e300]
+    ds = IoDataset(u, y)
+    save_csv(ds, tmp_path / "fast.csv")
+    _reference_save_csv(ds, tmp_path / "ref.csv")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    loaded = load_csv(tmp_path / "fast.csv", n_u=2, n_y=2)
+    assert loaded.u.tobytes() == u.tobytes() and loaded.y.tobytes() == y.tobytes()
