@@ -47,6 +47,13 @@ def nrms(y_measured, y_predicted, skip=0):
         return float(np.sqrt(np.mean(per_channel**2)))
 
 
+def free_run_nrms(model, dataset, init):
+    """NRMS of a free-run simulation of `dataset` past the encoder warm-up;
+    `init` is the initial-state source ("encoder" or "zero")."""
+    sim = model.simulate(dataset, mode="free-run", init=init)
+    return nrms(dataset.y, sim.y_sim, skip=sim.skip)
+
+
 @dataclass
 class KStepProfile:
     values: np.ndarray  # NRMS_{k-step} for k = 0..k_max

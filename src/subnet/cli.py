@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis, baselines, data
 from .autodiff import NumericError
-from .model import CheckpointError, load_model
+from .model import CheckpointError, load_model, save_model
 from .optim import TrainConfig, train, write_report_csv, write_timing_csv
 
 EXIT_OK = 0
@@ -82,6 +82,7 @@ _KEY_TYPES = {
     # a path: `open` would take an integer for a file descriptor
     **{f"data.{key}": str for key in ("train_csv", "val_csv", "test_csv", "csv")},
     "eval.checkpoint": str,
+    "out": str,
     "seed": int,
     "data.n_u": int,
     "data.n_y": int,
@@ -104,7 +105,10 @@ _NULLABLE = {"train.budget_s", "compare.budget_s"}
 _LIST_ITEMS = {"analyze.horizons": int, "analyze.record_lengths": int, "compare.variants": str}
 # the least value of a number key, or of each integer in a list key
 _MINIMUM = {
-    "model.n_a": 0, "model.n_b": 0, "eval.k_max": 0,
+    "model.n_a": 0, "model.n_b": 0, "model.hidden_layers": 0, "model.n_x": 1,
+    "train.horizon": 1, "train.spacing": 1, "train.batch_size": 1,
+    "train.max_epochs": 0, "train.patience": 0, "train.learning_rate": 0,
+    "eval.k_max": 0,
     "seed": 0, "data.generator.seed": 0,
     "data.n_u": 1, "data.n_y": 1,
     "data.generator.sigma_k": 0, "data.generator.sigma_e": 0,
@@ -262,9 +266,8 @@ def cmd_train(args, cfg):
     seed = _seed(args, cfg)
     datasets = _load_datasets(cfg, seed, need=("train", "val"))
     config = _train_config(cfg, seed)
-    model, report = train(
-        config, datasets["train"], datasets["val"], checkpoint_path=out / "model.bin"
-    )
+    model, report = train(config, datasets["train"], datasets["val"])
+    save_model(model, out / "model.bin")
     write_report_csv(report, out / "report.csv")
     write_timing_csv(report, out / "timing.csv")
     if report.epochs_run:
@@ -327,7 +330,7 @@ def cmd_eval(args, cfg):
         )
     k_max = args.kmax if args.kmax is not None else eval_cfg.get("k_max", 0)
     sim = model.simulate(test, mode="free-run")
-    test_nrms = analysis.nrms(test.y[sim.skip :], sim.y_sim[sim.skip :])
+    test_nrms = analysis.nrms(test.y, sim.y_sim, skip=sim.skip)
     print(f"free-run NRMS: {test_nrms:.6g} ({100 * test_nrms:.4g}%)")
 
     # line i of simulation.csv is output channel i % n_y at t = i // n_y

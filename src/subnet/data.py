@@ -15,9 +15,9 @@ noise, and its outputs go into the preallocated `y` in one assignment.
 Lists of a chunk, not of the whole record, keep the peak RSS where the
 numpy scalar loop had it. The records keep their bits: the map uses only
 `+`, `*` and `/`, in the same order, and these round the same on Python
-floats as on numpy float64 scalars. The divergence test is
-`np.max(np.abs(x)) > 1e6` exactly, NaN case included. `save_csv` works in
-the same chunks, filling one string template per chunk of rows.
+floats as on numpy float64 scalars. A state with an entry that is NaN or
+over 1e6 in magnitude has diverged. `save_csv` works in the same chunks,
+filling one string template per chunk of rows.
 """
 
 from __future__ import annotations
@@ -98,8 +98,9 @@ class SimSystemConfig:
         if self.sigma_k < 0 or self.sigma_e < 0:
             raise ValueError("noise scales must be >= 0")
         a, b = self.input_range
-        if not b > a:
-            raise ValueError("input range must satisfy b > a")
+        # a finite width b - a, which the uniform draw needs, has finite ends
+        if not (b > a and math.isfinite(b - a)):
+            raise ValueError(f"input_range needs b > a and a finite b - a, got {(a, b)}")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
 
@@ -146,9 +147,8 @@ def generate_sim_system(config: SimSystemConfig) -> IoDataset:
         ):
             ys.append(x1 + e_k)
             x1, x2 = _step(x1, x2, u_k, e_k, variant, gain)
-            # np.max(np.abs(x)) > 1e6 as numpy has it: a NaN in x hides
-            # the other entry, so a NaN state never counts as diverged
-            if (abs(x1) > 1e6 or abs(x2) > 1e6) and x1 == x1 and x2 == x2:
+            # written so that a NaN entry, which compares false, diverges
+            if not (abs(x1) <= 1e6 and abs(x2) <= 1e6):
                 raise InstabilityError(f"state diverged at step {k}", step=k)
         y[start:stop] = ys
     return IoDataset(u[:, None], y[:, None], name=f"sim-{config.variant}")

@@ -160,10 +160,6 @@ class SubnetModel:
             blocks["K"] = self.noise.gain.reshape(-1)
         return blocks
 
-    def set_param_blocks(self, blocks):
-        for name, flat in self.param_blocks().items():
-            flat[:] = blocks[name]
-
     # -- forward computation (normalized signals) ----------------------------
 
     def encode(self, u_window, y_window):

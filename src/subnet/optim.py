@@ -1,10 +1,14 @@
-"""Adam optimizer and the training loop.
+"""Adam optimizer, the training loop and the one fit path.
 
 Training follows the usual recipe: Xavier init, IO normalization fitted on
 the training split only, per-batch loss/backprop/Adam updates, a per-epoch
 validation metric, and early stopping that returns the parameters of the
 epoch with the lowest validation value. Everything is deterministic given
 the config seed (single-threaded).
+
+`_fit` is the one set-up of all five estimation variants, for `train` and
+`baselines.run_variant`; the initial-state source (the encoder, or a bank
+of trainable states) picks the loss and the validation.
 """
 
 from __future__ import annotations
@@ -15,9 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import loss
+from .analysis import free_run_nrms
 from .autodiff import NumericError
 from .loss import batch_iter, encoder_loss, valid_starts
-from .model import Normalization, build_model, save_model
+from .model import Normalization, build_model
 
 VAL_METRICS = ("sim-nrms", "encoder-loss")
 
@@ -118,7 +124,6 @@ class TrainReport:
     val_metric: list = field(default_factory=list)
     wallclock_s: list = field(default_factory=list)
     best_epoch: int = -1
-    checkpoint_path: str | None = None
     diverged: bool = False
 
     @property
@@ -127,7 +132,7 @@ class TrainReport:
 
 
 def run_training_loop(blocks, loss_grad_fn, val_fn, index_set, config: TrainConfig):
-    """Generic batched training loop shared by the encoder and baseline paths.
+    """The batched training loop of `_fit`, for every estimation variant.
 
     `blocks` is the dict of trainable flat arrays (updated in place);
     `loss_grad_fn(starts) -> (loss, grads)`, `val_fn() -> float` reads the
@@ -173,56 +178,67 @@ def run_training_loop(blocks, loss_grad_fn, val_fn, index_set, config: TrainConf
     return best_blocks, report
 
 
-def train(config: TrainConfig, train_ds, val_ds, checkpoint_path=None):
-    """Estimate a model on the training split with early stopping on the
-    validation split. Returns (best model, TrainReport)."""
+def _fit(config: TrainConfig, train_ds, val_ds, init):
+    """Fit the model that `config` describes; returns (best model, TrainReport).
+
+    `init` picks where each section's initial state comes from. "encoder"
+    trains psi over the encoder windows. "zero" leaves psi out and trains a
+    bank of initial states, one per section, that start at zero; it
+    validates by free-run NRMS from a zero state, whatever `val_metric` says.
+    """
     if train_ds.n_u != val_ds.n_u or train_ds.n_y != val_ds.n_y:
         raise ValueError("train/validation channel counts differ")
     norm = fit_normalization(train_ds)
     model = build_model(
         config.n_x, train_ds.n_u, train_ds.n_y, config.n_a, config.n_b,
-        noise=config.noise,
-        hidden_layers=config.hidden_layers,
-        hidden_width=config.hidden_width,
-        activation=config.activation,
-        bypass=config.bypass,
-        seed=config.seed,
-        norm=norm,
+        noise=config.noise, hidden_layers=config.hidden_layers,
+        hidden_width=config.hidden_width, activation=config.activation,
+        bypass=config.bypass, seed=config.seed, norm=norm,
     )
-    u_tr = norm.norm_u(train_ds.u)
-    y_tr = norm.norm_y(train_ds.y)
-    index_set = valid_starts(
-        len(train_ds), config.horizon, config.n_a, config.n_b, config.spacing
-    )
-    if config.val_metric == "encoder-loss":
-        u_val = norm.norm_u(val_ds.u)
-        y_val = norm.norm_y(val_ds.y)
-        val_set = valid_starts(len(val_ds), config.horizon, config.n_a, config.n_b)
+    u = norm.norm_u(train_ds.u)
+    y = norm.norm_y(train_ds.y)
+    blocks = model.param_blocks()
+    horizon, spacing = config.horizon, config.spacing
+    # trainable states need no encoder window, so their sections may start at 0
+    lags = (config.n_a, config.n_b) if init == "encoder" else (0, 0)
+    index_set = valid_starts(len(train_ds), horizon, *lags, spacing)
+    if init == "encoder":
+
+        def loss_grad_fn(starts):
+            return encoder_loss(model, u, y, starts, horizon, with_grad=True)
+
+    else:
+        states = np.zeros((len(index_set), config.n_x))
+        del blocks["psi"]
+        blocks["x0"] = states.reshape(-1)
+
+        def loss_grad_fn(starts):
+            return loss.trainable_state_loss(
+                model, u, y, starts, starts // spacing, states, horizon, with_grad=True
+            )
+
+    if init == "encoder" and config.val_metric == "encoder-loss":
+        u_val, y_val = norm.norm_u(val_ds.u), norm.norm_y(val_ds.y)
+        val_set = valid_starts(len(val_ds), horizon, config.n_a, config.n_b)
 
         def val_fn():
-            return encoder_loss(model, u_val, y_val, val_set.starts, config.horizon)
+            return encoder_loss(model, u_val, y_val, val_set.starts, horizon)
 
     else:
 
         def val_fn():
-            from .analysis import nrms
+            return free_run_nrms(model, val_ds, init)
 
-            sim = model.simulate(val_ds, mode="free-run")
-            return nrms(val_ds.y[sim.skip :], sim.y_sim[sim.skip :])
-
-    blocks = model.param_blocks()
-
-    def loss_grad_fn(starts):
-        return encoder_loss(model, u_tr, y_tr, starts, config.horizon, with_grad=True)
-
-    best_blocks, report = run_training_loop(
-        blocks, loss_grad_fn, val_fn, index_set, config
-    )
-    model.set_param_blocks(best_blocks)
-    if checkpoint_path is not None:
-        save_model(model, checkpoint_path)
-        report.checkpoint_path = str(checkpoint_path)
+    best, report = run_training_loop(blocks, loss_grad_fn, val_fn, index_set, config)
+    for name, flat in blocks.items():
+        flat[:] = best[name]
     return model, report
+
+
+def train(config: TrainConfig, train_ds, val_ds):
+    """Estimate a model on the training split with early stopping on the
+    validation split. Returns (best model, TrainReport)."""
+    return _fit(config, train_ds, val_ds, "encoder")
 
 
 def write_report_csv(report: TrainReport, path):

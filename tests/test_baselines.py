@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subnet import optim
 from subnet.baselines import (
     TABLE_LABELS,
     VARIANTS,
@@ -11,8 +12,9 @@ from subnet.baselines import (
     write_compare_csv,
 )
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
-from subnet.loss import valid_starts
-from subnet.optim import TrainConfig
+from subnet.loss import full_prediction_loss, valid_starts
+from subnet.model import NOISE_STRUCTURES, build_model
+from subnet.optim import TrainConfig, fit_normalization
 
 TINY = dict(horizon=5, n_a=2, n_b=2, n_x=2, hidden_layers=1, hidden_width=6,
             batch_size=64, max_epochs=2, patience=50)
@@ -113,6 +115,49 @@ def test_budget_zero_returns_init_models():
                             hidden_width=vcfg.hidden_width, seed=vcfg.seed,
                             norm=fit_normalization(train_ds))
         assert np.array_equal(model.f_params.flat, fresh.f_params.flat)
+
+
+@pytest.mark.parametrize("noise", NOISE_STRUCTURES)
+def test_oe_is_one_full_record_section(noise):
+    # the first epoch's loss is that of the fresh model over the whole record
+    # from a zero state, before any update; with sections of the horizon T it
+    # would differ
+    train_ds, val_ds, _test = small_splits()
+    cfg = TrainConfig(**{**TINY, "noise": noise, "max_epochs": 1})
+    _model, report = run_variant("parameter-init-OE", cfg, train_ds, val_ds)
+    norm = fit_normalization(train_ds)
+    fresh = build_model(cfg.n_x, 1, 1, cfg.n_a, cfg.n_b, noise=noise,
+                        hidden_layers=cfg.hidden_layers,
+                        hidden_width=cfg.hidden_width, seed=cfg.seed, norm=norm)
+    expected = full_prediction_loss(
+        fresh, norm.norm_u(train_ds.u), norm.norm_y(train_ds.y), np.zeros(cfg.n_x)
+    )
+    assert report.train_loss[0] == expected
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_run_variant_determinism(variant):
+    train_ds, val_ds, _test = small_splits()
+    runs = [run_variant(variant, TrainConfig(**TINY), train_ds, val_ds) for _ in range(2)]
+    (model_a, report_a), (model_b, report_b) = runs
+    for field in ("train_loss", "val_metric", "best_epoch", "diverged"):
+        assert getattr(report_a, field) == getattr(report_b, field)
+    blocks_b = model_b.param_blocks()
+    for name, flat in model_a.param_blocks().items():
+        assert flat.tobytes() == blocks_b[name].tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_channel_mismatch_rejected_before_training(variant, monkeypatch):
+    train_ds, val_ds, _test = small_splits()
+    wide_val = IoDataset(np.repeat(val_ds.u, 2, axis=1), val_ds.y)
+
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(optim, "run_training_loop", no_training)
+    with pytest.raises(ValueError, match="channel counts differ"):
+        run_variant(variant, TrainConfig(**TINY), train_ds, wide_val)
 
 
 def test_compare_report_rows_and_csv(tmp_path):

@@ -14,7 +14,7 @@ from subnet.data import (
 )
 from subnet.model import NOISE_STRUCTURES, SubnetModel, build_model, load_model, save_model
 from subnet.nets import ACTIVATIONS
-from subnet.optim import VAL_METRICS
+from subnet.optim import VAL_METRICS, fit_normalization
 
 MODEL_CFG = {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 6}
 TRAIN_CFG = {"horizon": 4, "batch_size": 64, "max_epochs": 2, "patience": 50}
@@ -79,6 +79,21 @@ def test_generate_seed_changes_contents(tmp_path):
     assert outs[0] != outs[1]
 
 
+def test_generate_nan_state_is_numeric_divergence(tmp_path, capsys):
+    # the noise overflows to inf and the state turns NaN: a divergence
+    # (exit 3), not a record turned away as non-finite (exit 2)
+    cfg = write_config(tmp_path, {
+        "seed": 6,
+        "data": {"generator": {"variant": "nonlinear-process-noise", "sigma_k": 1.0,
+                               "sigma_e": 1e308}},
+        "out": str(tmp_path / "run"),
+    })
+    assert main(["--config", cfg, "generate"]) == 3
+    err = capsys.readouterr().err
+    assert "numeric divergence: state diverged at step" in err and "Traceback" not in err
+    assert not (tmp_path / "run" / "train.csv").exists()
+
+
 def test_unknown_config_key_rejected(tmp_path):
     cfg = write_config(tmp_path, {"data": {"generator": {}}, "banana": 1})
     assert main(["--config", cfg, "generate"]) == 2
@@ -141,6 +156,17 @@ def test_train_divergence_exit_code(tmp_path, small_csvs):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["--config", cfg, "train"]) == 3
+    # the diverging run still writes the best epoch's parameters; no epoch
+    # completed here, so they are the initial ones
+    assert (out / "report.csv").read_text().splitlines() == ["epoch,train_loss,val_metric"]
+    saved = load_model(out / "model.bin")
+    train_ds = load_csv(small_csvs["train"], n_u=1, n_y=1)
+    fresh = build_model(MODEL_CFG["n_x"], 1, 1, MODEL_CFG["n_a"], MODEL_CFG["n_b"],
+                        hidden_layers=MODEL_CFG["hidden_layers"],
+                        hidden_width=MODEL_CFG["hidden_width"], seed=0,
+                        norm=fit_normalization(train_ds))
+    for name, flat in fresh.param_blocks().items():
+        assert saved.param_blocks()[name].tobytes() == flat.tobytes()
 
 
 def test_eval_on_own_training_data(tmp_path, small_csvs, capsys):
@@ -344,6 +370,15 @@ def test_eval_kstep_csv_spans_write_chunks(tmp_path):
          'compare.variants must be a JSON list, got "encoder-overlap"'),
         ("compare", "variants", ["encoder-overlap", 3],
          'compare.variants must be a JSON list of strings, got ["encoder-overlap", 3]'),
+        ("model", "n_x", 0, "model.n_x must be >= 1, got 0"),
+        ("model", "hidden_layers", -1, "model.hidden_layers must be >= 0, got -1"),
+        ("train", "horizon", 0, "train.horizon must be >= 1, got 0"),
+        ("train", "spacing", 0, "train.spacing must be >= 1, got 0"),
+        ("train", "batch_size", 0, "train.batch_size must be >= 1, got 0"),
+        ("train", "max_epochs", -1, "train.max_epochs must be >= 0, got -1"),
+        ("train", "patience", -1, "train.patience must be >= 0, got -1"),
+        ("train", "learning_rate", -1.0, "train.learning_rate must be >= 0, got -1.0"),
+        (None, "out", 5, "out must be a JSON string, got 5"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, value,

@@ -190,8 +190,8 @@ def test_forward_into_strided_out_matches_allocating(bypass, out_dim, b):
 
 
 def test_forward_sees_in_place_flat_updates():
-    # the block views are bound once, so the in-place writes of
-    # set_param_blocks and adam_step must reach mlp_forward through them
+    # the block views are bound once, so in-place writes through
+    # param_blocks() and adam_step must reach mlp_forward through them
     model = build_model(2, 1, 1, 2, 2, hidden_layers=2, hidden_width=5, seed=0)
     rng = np.random.default_rng(1)
     nets = [model.f_params, model.h_params, model.psi_params]
@@ -208,9 +208,8 @@ def test_forward_sees_in_place_flat_updates():
         return all(np.array_equal(a, b) for a, b in zip(got, fresh))
 
     before = outputs()
-    model.set_param_blocks(
-        {name: rng.normal(size=flat.size) for name, flat in model.param_blocks().items()}
-    )
+    for flat in model.param_blocks().values():
+        flat[:] = rng.normal(size=flat.size)
     after_set = outputs()
     assert matches_fresh_params(after_set)
     blocks = model.param_blocks()
