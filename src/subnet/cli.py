@@ -6,6 +6,7 @@ the effective config into the run directory so each run is reproducible
 from that directory alone.
 
 Exit codes: 0 success, 2 config error, 3 numeric divergence, 4 IO error.
+A model or batch too large for memory is a config error.
 """
 
 from __future__ import annotations
@@ -106,8 +107,10 @@ _LIST_ITEMS = {"analyze.horizons": int, "analyze.record_lengths": int, "compare.
 # the least value of a number key, or of each integer in a list key
 _MINIMUM = {
     "model.n_a": 0, "model.n_b": 0, "model.hidden_layers": 0, "model.n_x": 1,
+    "model.hidden_width": 1,
     "train.horizon": 1, "train.spacing": 1, "train.batch_size": 1,
     "train.max_epochs": 0, "train.patience": 0, "train.learning_rate": 0,
+    "train.budget_s": 0, "compare.budget_s": 0,
     "eval.k_max": 0,
     "seed": 0, "data.generator.seed": 0,
     "data.n_u": 1, "data.n_y": 1,
@@ -504,6 +507,11 @@ def main(argv=None):
         return EXIT_NUMERIC
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"config error: the model or batch is too large for memory{detail}",
+              file=sys.stderr)
         return EXIT_CONFIG
 
 

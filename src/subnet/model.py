@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError
-from .loss import _enc_windows, _roll_windows, _take
+from .loss import _CHUNK, _enc_windows, _roll_windows, _take
 from .nets import MlpParams, MlpSpec, init_xavier, mlp_forward
 
 NOISE_STRUCTURES = ("output-error", "linear-innovation", "general-innovation")
@@ -195,20 +195,25 @@ class SubnetModel:
         Returns (y_hat (B,T,n_y), e_hat (B,T,n_y)). `x0` is never written.
 
         `cache`, when given, is a dict that receives what the loss adjoint
-        reads, in (T, B, .) buffers filled step by step: the states "x"
-        (T, B, n_x), the inputs of f "f_in" (T-1, B, f_in), and one buffer
-        per hidden layer of h "h_acts" (T, B, width) and of f "f_acts"
-        (T-1, B, width). These buffers are views of the loss module's
-        workspace (`loss._take`), shared by every cached call: they stay
-        valid only until the next call with a cache, so read them before
-        making one. Without a cache nothing more than the outputs is
-        kept: the state, f's input and each hidden layer reuse one
-        (B, .) buffer each.
+        reads, in (T, B, .) buffers: the states "x" (T, B, n_x), the inputs
+        of f "f_in" (T-1, B, f_in), and one buffer per hidden layer of h
+        "h_acts" (T, B, width) and of f "f_acts" (T-1, B, width). These
+        buffers are views of the loss module's workspace (`loss._take`),
+        shared by every cached call: they stay valid only until the next
+        call with a cache, so read them before making one. Without a cache
+        the states still go into a (T, B, n_x) buffer, and f's input and
+        each hidden layer reuse one buffer each.
 
-        Each step writes h's output straight into `y_hat[:, k]` and f's
-        into the next state's buffer (`mlp_forward`'s `out`), and builds
-        f's input in place. The output-error innovation feeds nothing, so
-        it is formed once after the loop.
+        Each step writes f's output straight into the next state's buffer
+        (`mlp_forward`'s `out`) and builds f's input in place. Only a
+        teacher-forced innovation (linear or general) feeds h's output into
+        the next state; then h runs inside the loop and writes `y_hat[:, k]`
+        at every step. Otherwise the loop runs f alone, and h runs after it
+        over chunks of `max(1, loss._CHUNK // B)` whole steps stacked as
+        (steps, B, n). Each of its 3-D matmuls makes one BLAS call per
+        (B, n) step, the same call a per-step forward makes, so the outputs
+        keep their bits; a 2-D (steps*B, n) product would not. The
+        output-error innovation is then formed once, after h.
 
         The loop runs to the end with overflow and invalid-value warnings
         silenced; afterwards one scan of y_hat raises `NumericError` at the
@@ -220,10 +225,13 @@ class SubnetModel:
         tag = self.noise.tag
         step_innovation = teacher_forced and tag != "output-error"
         e_hat = (np.empty if teacher_forced else np.zeros)((b, horizon, self.n_y))
+        # steps per h call after the loop
+        step = max(1, _CHUNK // b)
         if cache is None:
-            # one buffer per role, reused at every step
+            # one buffer per role, reused at every step (h's at every chunk)
+            h_rows = (b,) if step_innovation else (min(step, horizon), b)
             h_acts = [
-                np.empty((b, self.h_spec.hidden_width))
+                np.empty(h_rows + (self.h_spec.hidden_width,))
                 for _ in range(self.h_spec.hidden_layers)
             ]
             f_acts = [
@@ -231,9 +239,9 @@ class SubnetModel:
                 for _ in range(self.f_spec.hidden_layers)
             ]
             z = np.empty((b, self.f_spec.in_dim))
-            x_next = np.empty((b, self.n_x))
+            xs = np.empty((horizon, b, self.n_x))
         else:
-            cache["x"] = _take("x", (horizon, b, self.n_x))
+            xs = cache["x"] = _take("x", (horizon, b, self.n_x))
             cache["f_in"] = _take("f_in", (horizon - 1, b, self.f_spec.in_dim))
             cache["h_acts"] = [
                 _take(f"h_acts{i}", (horizon, b, self.h_spec.hidden_width))
@@ -243,30 +251,38 @@ class SubnetModel:
                 _take(f"f_acts{i}", (horizon - 1, b, self.f_spec.hidden_width))
                 for i in range(self.f_spec.hidden_layers)
             ]
-            cache["x"][0] = x0
-        x = x0 if cache is None else cache["x"][0]
+        xs[0] = x0
+        x = xs[0]
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(horizon):
-                if cache is not None:
-                    h_acts = [a[k] for a in cache["h_acts"]]
-                yk = mlp_forward(self.h_spec, self.h_params, x, h_acts, y_hat[:, k])
                 if step_innovation:
+                    if cache is not None:
+                        h_acts = [a[k] for a in cache["h_acts"]]
+                    yk = mlp_forward(self.h_spec, self.h_params, x, h_acts, y_hat[:, k])
                     np.subtract(y_roll[:, k], yk, out=e_hat[:, k])
                 if k + 1 == horizon:
                     break
                 if cache is not None:
                     z = cache["f_in"][k]
                     f_acts = [a[k] for a in cache["f_acts"]]
-                    x_next = cache["x"][k + 1]
                 if tag == "general-innovation":
                     np.concatenate([x, u_roll[:, k], e_hat[:, k]], axis=1, out=z)
                 else:
                     np.concatenate([x, u_roll[:, k]], axis=1, out=z)
-                x = mlp_forward(self.f_spec, self.f_params, z, f_acts, x_next)
+                x = mlp_forward(self.f_spec, self.f_params, z, f_acts, xs[k + 1])
                 if tag == "linear-innovation":
                     x += e_hat[:, k] @ self.noise.gain.T
-            if teacher_forced and not step_innovation:
-                np.subtract(y_roll, y_hat, out=e_hat)
+            if not step_innovation:
+                y_steps = y_hat.transpose(1, 0, 2)
+                for lo in range(0, horizon, step):
+                    hi = min(lo + step, horizon)
+                    if cache is None:
+                        acts = [a[: hi - lo] for a in h_acts]
+                    else:
+                        acts = [a[lo:hi] for a in cache["h_acts"]]
+                    mlp_forward(self.h_spec, self.h_params, xs[lo:hi], acts, y_steps[lo:hi])
+                if teacher_forced:
+                    np.subtract(y_roll, y_hat, out=e_hat)
         finite = np.isfinite(y_hat).all(axis=(0, 2))
         if not finite.all():
             k = int(np.argmin(finite))

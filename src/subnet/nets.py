@@ -18,6 +18,11 @@ adjoint and completes every hidden layer's delta in place, and
 `mlp_block_grads` forms each weight block's gradient with one matmul over
 the deltas and inputs of all steps stacked into (T*B, .) rows.
 
+`mlp_forward` also takes leading axes, (T, B, in) for T steps at once.
+Its matmuls on such a stack make one BLAS call per (B, in) step, the call
+a 2-D (B, in) forward makes, so a stacked forward gives the per-step
+outputs to the last bit; a (T*B, in) reshape into one product does not.
+
 At B=1 these calls cost more in numpy's per-call overhead than in
 arithmetic, so the per-step functions make as few calls as they can: the
 biases are bound as (1, width) rows, since a broadcast of a (width,)
@@ -182,22 +187,27 @@ def init_xavier(spec: MlpSpec, rng) -> MlpParams:
 
 
 def mlp_forward(spec: MlpSpec, params: MlpParams, x, acts=None, out=None):
-    """Plain numpy forward pass; accepts (in,) or batched (B, in) input.
+    """Plain numpy forward pass; accepts (in,) or batched (..., B, in) input.
 
-    `acts`, when given, holds one (B, hidden_width) buffer per hidden layer,
-    and each hidden layer is computed in place in its buffer: a caller that
-    passes the same buffers at every step allocates no (B, hidden_width)
-    temporaries, and one that keeps them has the activations for
-    `mlp_backward`. `out`, when given, is a (B, out_dim) buffer, which may
-    be a strided view, that receives the output; it must not overlap `x`.
-    The returned array is then `out` itself.
+    Leading axes are stacks of batches, such as the steps of a rollout: a
+    3-D (T, B, in) input gives the output of T separate (B, in) calls, to
+    the last bit, since `np.matmul` makes one BLAS call per (B, in) slice.
+
+    `acts`, when given, holds one (..., B, hidden_width) buffer per hidden
+    layer, and each hidden layer is computed in place in its buffer: a
+    caller that passes the same buffers at every step allocates no
+    (B, hidden_width) temporaries, and one that keeps them has the
+    activations for `mlp_backward`. `out`, when given, is a
+    (..., B, out_dim) buffer, which may be a strided view, that receives
+    the output; it must not overlap `x`. The returned array is then `out`
+    itself.
     """
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    if x.shape[1] != spec.in_dim:
-        raise ValueError(f"input width {x.shape[1]} != in_dim {spec.in_dim}")
+    if x.shape[-1] != spec.in_dim:
+        raise ValueError(f"input width {x.shape[-1]} != in_dim {spec.in_dim}")
     act = _ACT_NP[spec.activation]
     *hidden, (w_out_t, b_out) = params.layers
     z = x

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subnet.loss
 from subnet.baselines import VARIANTS
 from subnet.cli import main
 from subnet.data import (
@@ -379,6 +380,9 @@ def test_eval_kstep_csv_spans_write_chunks(tmp_path):
         ("train", "patience", -1, "train.patience must be >= 0, got -1"),
         ("train", "learning_rate", -1.0, "train.learning_rate must be >= 0, got -1.0"),
         (None, "out", 5, "out must be a JSON string, got 5"),
+        ("model", "hidden_width", 0, "model.hidden_width must be >= 1, got 0"),
+        ("train", "budget_s", -1, "train.budget_s must be >= 0, got -1"),
+        ("compare", "budget_s", -0.5, "compare.budget_s must be >= 0, got -0.5"),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, value,
@@ -406,6 +410,20 @@ def test_number_keys_take_integers_and_a_null_budget(tmp_path, small_csvs):
     cfg_dict = train_cfg_dict(small_csvs, tmp_path / "run", learning_rate=1, budget_s=None,
                               max_epochs=0)
     assert main(["--config", write_config(tmp_path, cfg_dict), "train"]) == 0
+
+
+def test_out_of_memory_is_config_error(tmp_path, small_csvs, capsys, monkeypatch):
+    # a model or batch too large for memory fails in a workspace allocation;
+    # it exits 2 with a message, not a traceback
+    def no_memory(role, shape):
+        raise MemoryError(f"Unable to allocate the {role} buffer {shape}")
+
+    monkeypatch.setattr(subnet.loss, "_take", no_memory)
+    cfg = write_config(tmp_path, train_cfg_dict(small_csvs, tmp_path / "run"))
+    assert main(["--config", cfg, "train"]) == 2
+    err = capsys.readouterr().err
+    assert "config error: the model or batch is too large for memory" in err
+    assert "Unable to allocate" in err and "Traceback" not in err
 
 
 def test_partial_split_names_missing_length(tmp_path, capsys):

@@ -10,9 +10,10 @@ from conftest import linear_toy_model, simulate_linear_toy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import subnet.model
 from subnet.autodiff import NumericError
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
-from subnet.loss import _enc_windows, _roll_windows
+from subnet.loss import _CHUNK, _enc_windows, _roll_windows
 from subnet.model import (
     NOISE_STRUCTURES,
     CheckpointError,
@@ -290,7 +291,9 @@ def test_rollout_numeric_error_carries_step():
 
 
 @pytest.mark.parametrize("noise", NOISE_STRUCTURES)
-@pytest.mark.parametrize("b", [1, 7])
+# at B=50, h runs after the loop over chunks of _CHUNK // 50 = 5 steps, so
+# the 6 steps end in a 1-step chunk
+@pytest.mark.parametrize("b", [1, 7, 50])
 def test_rollout_in_place_buffers(noise, b):
     # the rollout writes h into y_hat, f into the next state's buffer and f's
     # input in place; against a loop of allocating mlp_forward calls, the
@@ -316,21 +319,52 @@ def test_rollout_in_place_buffers(noise, b):
     free_y, free_e = model.rollout_batch(x0, u, teacher_forced=False)
     assert np.array_equal(x0, x0_before) and not free_e.any()
 
-    x = x0_before
-    for k in range(horizon):
-        assert np.array_equal(cache["x"][k], x)
-        yk = mlp_forward(model.h_spec, model.h_params, x)
-        assert np.array_equal(y_hat[:, k], yk)
-        e = y[:, k] - yk
-        assert np.array_equal(e_hat[:, k], e)
-        if k + 1 == horizon:
-            break
-        parts = [x, u[:, k]] + ([e] if noise == "general-innovation" else [])
-        z = np.concatenate(parts, axis=1)
-        assert np.array_equal(cache["f_in"][k], z)
-        x = mlp_forward(model.f_spec, model.f_params, z)
-        if noise == "linear-innovation":
-            x = x + e @ model.noise.gain.T
+    for teacher_forced, got in ((True, y_hat), (False, free_y)):
+        x = x0_before
+        for k in range(horizon):
+            if teacher_forced:
+                assert np.array_equal(cache["x"][k], x)
+            yk = mlp_forward(model.h_spec, model.h_params, x)
+            assert np.array_equal(got[:, k], yk)
+            e = y[:, k] - yk if teacher_forced else np.zeros_like(yk)
+            if teacher_forced:
+                assert np.array_equal(e_hat[:, k], e)
+            if k + 1 == horizon:
+                break
+            parts = [x, u[:, k]] + ([e] if noise == "general-innovation" else [])
+            z = np.concatenate(parts, axis=1)
+            if teacher_forced:
+                assert np.array_equal(cache["f_in"][k], z)
+            x = mlp_forward(model.f_spec, model.f_params, z)
+            if noise == "linear-innovation":
+                x = x + e @ model.noise.gain.T
+
+
+@pytest.mark.parametrize("noise", NOISE_STRUCTURES)
+@pytest.mark.parametrize("teacher_forced", [False, True])
+def test_rollout_runs_h_per_chunk_unless_it_feeds_back(monkeypatch, noise, teacher_forced):
+    # at B=1, h runs once per chunk of _CHUNK steps after the state loop,
+    # unless a teacher-forced innovation feeds its output into the next state
+    model = build_model(2, 1, 1, 2, 2, noise=noise, hidden_layers=1, hidden_width=4,
+                        seed=3)
+    calls = []
+
+    def counting_forward(*args, **kwargs):
+        calls.append(args[0])
+        return mlp_forward(*args, **kwargs)
+
+    monkeypatch.setattr(subnet.model, "mlp_forward", counting_forward)
+    horizon = 2 * _CHUNK + 3
+    rng = np.random.default_rng(4)
+    u = rng.normal(size=(1, horizon, 1))
+    y = rng.normal(size=(1, horizon, 1))
+    model.rollout_batch(np.zeros((1, 2)), u, y, teacher_forced=teacher_forced)
+    h_calls = sum(spec is model.h_spec for spec in calls)
+    assert len(calls) - h_calls == horizon - 1
+    if teacher_forced and noise != "output-error":
+        assert h_calls == horizon
+    else:
+        assert h_calls == -(-horizon // _CHUNK) == 3
 
 
 def test_checkpoint_round_trip(tmp_path):

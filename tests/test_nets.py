@@ -189,6 +189,31 @@ def test_forward_into_strided_out_matches_allocating(bypass, out_dim, b):
     assert np.isnan(y_hat[:, [0, 2, 3]]).all()
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+@pytest.mark.parametrize("hidden_layers", [0, 2])
+@pytest.mark.parametrize("bypass", [True, False])
+@pytest.mark.parametrize("b", [1, 7])
+def test_forward_on_stacked_steps_matches_per_step(activation, hidden_layers, bypass, b):
+    # a (T, B, in) stack, as the rollout runs h after its state loop, gives
+    # each (B, in) call's output to the last bit, written through a strided
+    # (T, B, out) view of a (B, T, out) buffer as the rollout writes y_hat
+    spec = MlpSpec(3, 2, hidden_layers=hidden_layers, hidden_width=5,
+                   activation=activation, bypass=bypass)
+    params = init_xavier(spec, 4)
+    steps = 6
+    x = np.random.default_rng(5).normal(size=(steps, b, 3))
+    y_hat = np.full((b, steps + 2, 2), np.nan)
+    acts = [np.empty((steps, b, 5)) for _ in range(hidden_layers)]
+    got = mlp_forward(spec, params, x, acts, y_hat.transpose(1, 0, 2)[1:-1])
+    assert np.shares_memory(got, y_hat) and got.shape == (steps, b, 2)
+    for k in range(steps):
+        step_acts = [np.empty((b, 5)) for _ in range(hidden_layers)]
+        assert np.array_equal(y_hat[:, k + 1], mlp_forward(spec, params, x[k], step_acts))
+        assert all(np.array_equal(a[k], s) for a, s in zip(acts, step_acts))
+    assert np.isnan(y_hat[:, [0, -1]]).all()
+    assert np.array_equal(mlp_forward(spec, params, x), got)
+
+
 def test_forward_sees_in_place_flat_updates():
     # the block views are bound once, so in-place writes through
     # param_blocks() and adam_step must reach mlp_forward through them
