@@ -1,19 +1,16 @@
-"""Reverse-mode automatic differentiation on a define-by-run tape.
+"""Reverse-mode chaining of hand-derived gradient nodes.
 
-Nodes hold float64 numpy buffers (scalars, vectors or batched 2-D arrays).
-Values are computed eagerly when a node is created; `backward` walks the
-tape in exact reverse creation order, which is a valid reverse topological
-order by construction, so gradient accumulation over fan-out is
-deterministic.
+A `Tape` holds two kinds of node: named parameter leaves over
+caller-owned arrays (used as-is, so a view of a larger buffer stays a
+view), and `custom` nodes, each a whole computation whose gradient the
+caller derives by hand. The losses record a complete rollout as one such
+node and the initial-state source in front of it as another, so a
+gradient call's tape holds one leaf per trainable block and two nodes.
 
-Tapes are single-use: build the graph, call backward, throw the tape away.
-Parameters are leaves registered by name over caller-owned arrays (used
-as-is, so a view of a larger buffer stays a view); `backward` returns one
-flat gradient per name.
-
-`custom` records a whole computation whose gradient the caller derives by
-hand as one node: the losses record a complete rollout this way, so a
-T-step rollout costs one node instead of a per-step graph.
+`backward` walks the tape in exact reverse creation order, which is a
+valid reverse topological order by construction, so gradient
+accumulation over fan-out is deterministic. Tapes are single-use: build
+the nodes, call backward, throw the tape away.
 """
 
 from __future__ import annotations
@@ -35,23 +32,6 @@ class NumericError(RuntimeError):
         self.index = index
 
 
-def _as_f64(x):
-    return np.asarray(x, dtype=np.float64)
-
-
-def _unbroadcast(grad, shape):
-    """Reduce `grad` back to `shape` after numpy broadcasting."""
-    if grad.shape == tuple(shape):
-        return grad
-    # sum out prepended axes
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and grad.shape[ax] != 1:
-            grad = grad.sum(axis=ax, keepdims=True)
-    return grad
-
-
 class Node:
     __slots__ = ("idx", "op", "parents", "value", "grad", "aux")
 
@@ -63,13 +43,6 @@ class Node:
         self.grad = None
         self.aux = aux
 
-    @property
-    def shape(self):
-        return self.value.shape
-
-    def __repr__(self):
-        return f"Node({self.idx}, {self.op}, shape={self.value.shape})"
-
 
 class Tape:
     """Ordered node list plus the named parameter leaves."""
@@ -78,88 +51,18 @@ class Tape:
         self.nodes: list[Node] = []
         self.params: dict[str, Node] = {}
 
-    # -- construction -----------------------------------------------------
-
     def _push(self, op, parents, value, aux=None):
         node = Node(len(self.nodes), op, parents, value, aux)
         self.nodes.append(node)
         return node
 
-    def constant(self, value):
-        return self._push("constant", (), _as_f64(value))
-
     def parameter(self, name, value):
         """Register a named parameter. `value` is used as-is (no copy)."""
         if name in self.params:
             raise GraphError(f"parameter {name!r} registered twice")
-        node = self._push("parameter", (), _as_f64(value))
+        node = self._push("parameter", (), np.asarray(value, dtype=np.float64))
         self.params[name] = node
         return node
-
-    def _binary(self, op, a, b):
-        try:
-            if op == "add":
-                value = a.value + b.value
-            elif op == "sub":
-                value = a.value - b.value
-            elif op == "mul":
-                value = a.value * b.value
-        except ValueError as exc:
-            raise GraphError(f"{op}: incompatible shapes {a.shape} vs {b.shape}") from exc
-        return self._push(op, (a, b), value)
-
-    def add(self, a, b):
-        return self._binary("add", a, b)
-
-    def sub(self, a, b):
-        return self._binary("sub", a, b)
-
-    def mul(self, a, b):
-        return self._binary("mul", a, b)
-
-    def scale(self, a, c):
-        """Multiply by a python float (treated as a constant)."""
-        return self._push("scale", (a,), a.value * float(c), aux=float(c))
-
-    def affine(self, x, w, b):
-        """x @ w.T + b with x (B, n_in), w (n_out, n_in), b (n_out,)."""
-        if x.value.ndim != 2 or w.value.ndim != 2:
-            raise GraphError(f"affine expects 2-D x and w, got {x.shape} and {w.shape}")
-        if x.shape[1] != w.shape[1]:
-            raise GraphError(f"affine: x cols {x.shape[1]} != w cols {w.shape[1]}")
-        if b.value.shape != (w.shape[0],):
-            raise GraphError(f"affine: bias shape {b.shape} != ({w.shape[0]},)")
-        return self._push("affine", (x, w, b), x.value @ w.value.T + b.value)
-
-    def tanh(self, a):
-        return self._push("tanh", (a,), np.tanh(a.value))
-
-    def relu(self, a):
-        return self._push("relu", (a,), np.maximum(a.value, 0.0))
-
-    def sigmoid(self, a):
-        return self._push("sigmoid", (a,), 1.0 / (1.0 + np.exp(-a.value)))
-
-    def square(self, a):
-        return self._push("square", (a,), a.value * a.value)
-
-    def mean(self, a):
-        return self._push("mean", (a,), np.asarray(a.value.mean()))
-
-    def concat(self, parts, axis=-1):
-        parts = tuple(parts)
-        try:
-            value = np.concatenate([p.value for p in parts], axis=axis)
-        except ValueError as exc:
-            raise GraphError(f"concat: incompatible shapes {[p.shape for p in parts]}") from exc
-        return self._push("concat", parts, value, aux=axis)
-
-    def gather(self, a, rows):
-        """Select rows of a 2-D node by integer index (duplicates allowed)."""
-        if a.value.ndim != 2:
-            raise GraphError(f"gather expects a 2-D node, got {a.shape}")
-        rows = np.asarray(rows, dtype=np.intp)
-        return self._push("gather", (a,), a.value[rows], aux=rows)
 
     def custom(self, parents, value, backward):
         """A node computed outside the tape, with a hand-written gradient.
@@ -167,9 +70,8 @@ class Tape:
         `backward(g)` gets the node's gradient and returns one gradient per
         parent, in order, each shaped like that parent's value.
         """
-        return self._push("custom", tuple(parents), _as_f64(value), aux=backward)
-
-    # -- backward ----------------------------------------------------------
+        value = np.asarray(value, dtype=np.float64)
+        return self._push("custom", tuple(parents), value, aux=backward)
 
     def backward(self, root):
         """Backpropagate from a scalar root; returns {name: flat gradient}.
@@ -177,81 +79,20 @@ class Tape:
         Every registered parameter gets an entry (zeros when unused).
         """
         if root.value.size != 1:
-            raise GraphError(f"backward root must be scalar, got shape {root.shape}")
+            raise GraphError(f"backward root must be scalar, got shape {root.value.shape}")
         for n in self.nodes:
             n.grad = None
         root.grad = np.ones_like(root.value)
         for n in reversed(self.nodes[: root.idx + 1]):
-            if n.grad is None:
+            if n.grad is None or n.op != "custom":
                 continue
-            self._accumulate(n)
-        out = {}
-        for name, node in self.params.items():
-            if node.grad is None:
-                out[name] = np.zeros(node.value.size)
-            else:
-                out[name] = node.grad.ravel()
-        return out
-
-    @staticmethod
-    def _bump(parent, grad):
-        # nothing reads a constant's gradient, and it has no parents to pass
-        # one on to, so constants keep grad None
-        if parent.op == "constant":
-            return
-        # gradients are never mutated in place, so aliasing is safe here
-        parent.grad = grad if parent.grad is None else parent.grad + grad
-
-    def _accumulate(self, n):
-        g = n.grad
-        p = n.parents
-        if n.op in ("constant", "parameter"):
-            return
-        if n.op == "add":
-            self._bump(p[0], _unbroadcast(g, p[0].shape))
-            self._bump(p[1], _unbroadcast(g, p[1].shape))
-        elif n.op == "sub":
-            self._bump(p[0], _unbroadcast(g, p[0].shape))
-            self._bump(p[1], _unbroadcast(-g, p[1].shape))
-        elif n.op == "mul":
-            self._bump(p[0], _unbroadcast(g * p[1].value, p[0].shape))
-            self._bump(p[1], _unbroadcast(g * p[0].value, p[1].shape))
-        elif n.op == "scale":
-            self._bump(p[0], g * n.aux)
-        elif n.op == "affine":
-            x, w, _b = p
-            self._bump(x, g @ w.value)
-            self._bump(w, g.T @ x.value)
-            self._bump(_b, g.sum(axis=0))
-        elif n.op == "tanh":
-            self._bump(p[0], g * (1.0 - n.value * n.value))
-        elif n.op == "relu":
-            # subgradient at 0 taken as 0
-            self._bump(p[0], g * (p[0].value > 0.0))
-        elif n.op == "sigmoid":
-            self._bump(p[0], g * n.value * (1.0 - n.value))
-        elif n.op == "square":
-            self._bump(p[0], g * 2.0 * p[0].value)
-        elif n.op == "mean":
-            self._bump(p[0], np.full(p[0].shape, float(g) / p[0].value.size))
-        elif n.op == "concat":
-            axis = n.aux
-            pos = 0
-            for q in p:
-                width = q.shape[axis % q.value.ndim]
-                idx = [np.s_[:]] * g.ndim
-                idx[axis % g.ndim] = np.s_[pos : pos + width]
-                self._bump(q, g[tuple(idx)])
-                pos += width
-        elif n.op == "custom":
-            for q, gq in zip(p, n.aux(g), strict=True):
-                self._bump(q, gq)
-        elif n.op == "gather":
-            gp = np.zeros(p[0].shape)
-            np.add.at(gp, n.aux, g)
-            self._bump(p[0], gp)
-        else:  # pragma: no cover
-            raise GraphError(f"unknown op {n.op!r}")
+            for q, gq in zip(n.parents, n.aux(n.grad), strict=True):
+                # gradients are never mutated in place, so aliasing is safe here
+                q.grad = gq if q.grad is None else q.grad + gq
+        return {
+            name: np.zeros(node.value.size) if node.grad is None else node.grad.ravel()
+            for name, node in self.params.items()
+        }
 
 
 @dataclass

