@@ -72,16 +72,6 @@ def _reference_x0(tape, model, u, y, starts, leaves, positions, states):
     return tape.gather(leaves["x0"], positions)
 
 
-def _reference_grads(tape, root, model, leaves):
-    """One flat gradient per block, in the order of `leaves`."""
-    grads = tape.backward(root)
-    specs = {"f": model.f_spec, "h": model.h_spec, "psi": model.psi_spec}
-    return {
-        name: mlp_flat_grad(specs[name], name, grads) if name in specs else grads[name]
-        for name in leaves
-    }
-
-
 def _reference_loss(model, u, y, starts, horizon, positions=None, states=None):
     """(loss, grads) through the per-step graph: encoder initial states, or
     rows `positions` of the trainable bank `states` when it is given."""
@@ -91,7 +81,12 @@ def _reference_loss(model, u, y, starts, horizon, positions=None, states=None):
     leaves = _reference_leaves(tape, model, states is None)
     x0_node = _reference_x0(tape, model, u, y, starts, leaves, positions, states)
     root = _reference_rollout_graph(tape, model, u_roll, y_roll, x0_node, leaves)
-    return float(root.value), _reference_grads(tape, root, model, leaves)
+    grads = tape.backward(root)
+    specs = {"f": model.f_spec, "h": model.h_spec, "psi": model.psi_spec}
+    return float(root.value), {
+        name: mlp_flat_grad(specs[name], name, grads) if name in specs else grads[name]
+        for name in leaves
+    }
 
 
 def _reference_source_loss(model, u, y, starts, horizon, positions=None, states=None):
