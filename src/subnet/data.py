@@ -177,7 +177,7 @@ def benchmark_splits(seed=0, variant="base", sigma_k=0.0, sigma_e=SIGMA_E_20DB):
             sigma_k=sigma_k if name != "test" else 0.0,
             sigma_e=sigma_e if name != "test" else 0.0,
             n_samples=n_samples,
-            seed=[int(seed) & 0x7FFFFFFF, i],  # distinct reproducible child seeds
+            seed=[int(seed), i],  # distinct reproducible child seeds
         )
         ds = generate_sim_system(cfg)
         ds.name = name

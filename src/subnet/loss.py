@@ -28,11 +28,17 @@ role, grown when a call needs more and otherwise reused, so a training run
 does not allocate (and page-fault) them afresh at every batch. Its one
 rule: a gradient call's buffers stay valid only until the next gradient
 call. This holds because every tape is backpropagated inside the loss call
-that built it. Besides the (T, B, .) roles there are the (B, width)
-activations and deltas of psi, and "tmp": the (max(B, _CHUNK), width)
-scratch rows that `nets.mlp_backward` writes each hidden layer's
-back-propagated adjoint into before it multiplies in the activation
-derivative.
+that built it. Under output-error the innovation feeds nothing back, so
+h's output adjoint is known before f's reverse-time loop: h finishes
+first, with `nets.mlp_backward_in_place` forming each hidden layer's delta
+over its activations, and its activation buffers then hold f's deltas. The
+encoder psi's adjoint is known up front too, and its deltas overwrite its
+(B, width) activations. So output-error keeps one buffer per hidden layer
+of h and of f; the innovation structures run h inside the loop and keep
+separate "h_deltas" and "f_deltas" roles. Besides these there is "tmp":
+the (max(B, _CHUNK), width) scratch rows that the backward writes each
+hidden layer's back-propagated adjoint into before it multiplies in the
+activation derivative.
 """
 
 from __future__ import annotations
@@ -43,7 +49,9 @@ from functools import partial
 import numpy as np
 
 from .autodiff import NumericError, Tape
-from .nets import mlp_act_grads, mlp_backward, mlp_block_grads, mlp_forward
+from .nets import (
+    mlp_act_grads, mlp_backward, mlp_backward_in_place, mlp_block_grads, mlp_forward,
+)
 
 
 class EmptyIndexSetError(ValueError):
@@ -90,7 +98,7 @@ def batch_iter(index_set: IndexSet, n_batch, seed, epoch):
     """
     if n_batch < 1:
         raise ValueError("n_batch must be >= 1")
-    rng = np.random.default_rng([int(seed) & 0x7FFFFFFF, int(epoch)])
+    rng = np.random.default_rng([int(seed), int(epoch)])
     perm = rng.permutation(len(index_set.starts))
     starts = index_set.starts[perm]
     for pos in range(0, len(starts), n_batch):
@@ -179,8 +187,6 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts):
         d_err = e_hat.transpose(1, 0, 2) * (2.0 * float(g) * n_y / (b * horizon * n_y))
         g_y = _take("g_y", d_err.shape)  # adjoint of y_hat: h's output adjoint
         g_f = _take("g_f", (horizon - 1, b, n_x))  # f's output adjoint
-        f_deltas = [_take(f"f_deltas{i}", a.shape) for i, a in enumerate(f_acts)]
-        h_deltas = [_take(f"h_deltas{i}", a.shape) for i, a in enumerate(h_acts)]
         # mlp_backward's scratch rows; f and h never use it at the same time
         f_tmp = _take("tmp", (max(b, _CHUNK), model.f_spec.hidden_width))
         h_tmp = _take("tmp", (max(b, _CHUNK), model.h_spec.hidden_width))
@@ -190,19 +196,20 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts):
         # they are still in cache at B=256 and cost few calls at B=1
         step = max(1, _CHUNK // b)
         if tag == "output-error":
-            # the innovation feeds nothing, so h's backward runs ahead of the
-            # loop, over the same chunks of steps stacked into rows
+            # the innovation feeds nothing, so h's output adjoint is known
+            # and h finishes ahead of the loop, over the same chunks of steps
+            # stacked into rows, with its deltas over its activations. Then
+            # its activation buffers are free, and they hold f's deltas
             np.negative(d_err, out=g_y)
-            g_hx = _take("g_hx", (horizon, b, n_x))
-            for k in range(0, horizon, step):
-                c = slice(k, k + step)
-                mlp_act_grads(
-                    model.h_spec, [a[c] for a in h_acts], [d[c] for d in h_deltas]
-                )
-                g_hx[c] = mlp_backward(
-                    model.h_spec, h, _rows(g_y[c]), [_rows(d[c]) for d in h_deltas],
-                    h_tmp,
-                ).reshape(-1, b, n_x)
+            h_grad, g_hx = mlp_backward_in_place(
+                model.h_spec, h, _rows(cache["x"]), [_rows(a) for a in h_acts],
+                _rows(g_y), h_tmp[: step * b],
+            )
+            g_hx = g_hx.reshape(horizon, b, n_x)
+            f_deltas = [_take(f"h_acts{i}", a.shape) for i, a in enumerate(f_acts)]
+        else:
+            f_deltas = [_take(f"f_deltas{i}", a.shape) for i, a in enumerate(f_acts)]
+            h_deltas = [_take(f"h_deltas{i}", a.shape) for i, a in enumerate(h_acts)]
         lam = None  # state adjoint of step 0
         for k in reversed(range(horizon)):
             if k + 1 == horizon or (k + 1) % step == 0:
@@ -240,16 +247,18 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts):
                 g_f[k - 1] = g_x
             else:
                 np.add(g_x, g_z[:, :n_x], out=g_f[k - 1])
+        if tag != "output-error":
+            h_grad = mlp_block_grads(
+                model.h_spec, _rows(cache["x"]), [_rows(a) for a in h_acts],
+                [_rows(d) for d in h_deltas], _rows(g_y),
+            )
         grads = [
             lam,
             mlp_block_grads(
                 model.f_spec, _rows(cache["f_in"]), [_rows(a) for a in f_acts],
                 [_rows(d) for d in f_deltas], _rows(g_f),
             ),
-            mlp_block_grads(
-                model.h_spec, _rows(cache["x"]), [_rows(a) for a in h_acts],
-                [_rows(d) for d in h_deltas], _rows(g_y),
-            ),
+            h_grad,
         ]
         if tag == "linear-innovation":
             grads.append(_rows(g_f).T @ _rows(e_hat.transpose(1, 0, 2)[:-1]))
@@ -291,11 +300,10 @@ def _encoder_states(model, u, y, starts, with_grad):
     x0 = mlp_forward(spec, psi, enc_in, acts)
 
     def backward(lam):
-        deltas = [_take(f"psi_deltas{i}", a.shape) for i, a in enumerate(acts)]
-        mlp_act_grads(spec, acts, deltas)
-        # the rollout's backward is done with the scratch rows by now
-        mlp_backward(spec, psi, lam, deltas, _take("tmp", (b, spec.hidden_width)))
-        return mlp_block_grads(spec, enc_in, acts, deltas, lam)
+        # the rollout's backward is done with the scratch rows by now; psi's
+        # deltas overwrite its activations
+        tmp = _take("tmp", (b, spec.hidden_width))
+        return mlp_backward_in_place(spec, psi, enc_in, acts, lam, tmp)[0]
 
     return x0, backward
 

@@ -200,7 +200,9 @@ class SubnetModel:
         "h_acts" (T, B, width) and of f "f_acts" (T-1, B, width). These
         buffers are views of the loss module's workspace (`loss._take`),
         shared by every cached call: they stay valid only until the next
-        call with a cache, so read them before making one. Without a cache
+        call with a cache, so read them before making one. A gradient
+        overwrites them too: under output-error it forms h's deltas over
+        "h_acts" and then f's deltas in the same buffers. Without a cache
         the states still go into a (T, B, n_x) buffer, and f's input and
         each hidden layer reuse one buffer each.
 

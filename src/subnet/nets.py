@@ -13,7 +13,10 @@ turns the activations of many steps at once into their derivatives,
 `mlp_backward` turns an output adjoint into the input adjoint and
 completes every hidden layer's delta in place, and `mlp_block_grads` forms
 the flat gradient, in layout order, with one matmul per weight block over
-the deltas and inputs of all steps stacked into (T*B, .) rows.
+the deltas and inputs of all steps stacked into (T*B, .) rows. When the
+output adjoint of every row is known up front, `mlp_backward_in_place`
+does all three in one call, with each hidden layer's delta overwriting its
+activations, so the deltas need no buffers of their own.
 
 `mlp_forward` also takes leading axes, (T, B, in) for T steps at once.
 Its matmuls on such a stack make one BLAS call per (B, in) step, the call
@@ -243,13 +246,7 @@ def mlp_backward(spec: MlpSpec, params: MlpParams, g, deltas, tmp):
         tmp = tmp[: len(g)]
     delta = g
     for i in reversed(range(spec.hidden_layers)):
-        w = params.view(f"w{i + 1}")
-        if delta.shape[1] == 1:
-            # an outer product (one output): the broadcast multiply gives
-            # the matmul's numbers in half its time
-            np.multiply(delta, w, out=tmp)
-        else:
-            np.matmul(delta, w, out=tmp)
+        _back_through(delta, params.view(f"w{i + 1}"), tmp)
         # (delta @ w) * act' with the factors swapped: IEEE multiplication
         # commutes, so the bits are the same
         deltas[i] *= tmp
@@ -258,6 +255,22 @@ def mlp_backward(spec: MlpSpec, params: MlpParams, g, deltas, tmp):
     if spec.bypass:
         g_in += g @ params.view("bypass")
     return g_in
+
+
+def _back_through(delta, w, out):
+    """delta @ w, the adjoint of a layer's input, into `out`."""
+    if delta.shape[1] == 1:
+        # an outer product (one output): the broadcast multiply gives the
+        # matmul's numbers in half its time
+        np.multiply(delta, w, out=out)
+    else:
+        np.matmul(delta, w, out=out)
+
+
+def _layer_grads(grads, i, delta, a):
+    """The weight and bias gradients of layer i from its delta and input."""
+    np.matmul(delta.T, a, out=grads.view(f"w{i}"))
+    np.sum(delta, axis=0, out=grads.view(f"b{i}"))
 
 
 def mlp_block_grads(spec: MlpSpec, x, acts, deltas, g):
@@ -269,8 +282,52 @@ def mlp_block_grads(spec: MlpSpec, x, acts, deltas, g):
     """
     grads = MlpParams(spec, np.empty(spec.param_count))
     for i, (a, d) in enumerate(zip([x, *acts], [*deltas, g])):
-        np.matmul(d.T, a, out=grads.view(f"w{i}"))
-        np.sum(d, axis=0, out=grads.view(f"b{i}"))
+        _layer_grads(grads, i, d, a)
     if spec.bypass:
         np.matmul(g.T, x, out=grads.view("bypass"))
     return grads.flat
+
+
+def mlp_backward_in_place(spec: MlpSpec, params: MlpParams, x, acts, g, tmp):
+    """(flat gradient, input adjoint) of N forward passes whose output
+    adjoint g (N, out_dim) is known up front.
+
+    `x` (N, in_dim) are the inputs and `acts` the (N, hidden_width)
+    activations that `mlp_forward` cached; on return they hold the deltas.
+    Layer by layer, last first, a weight block's gradient is one matmul
+    over all N rows while the activations it reads are intact, and then the
+    delta of the layer below overwrites them. Deltas and the input adjoint
+    are formed in chunks of len(tmp) rows, the scratch (chunk, hidden_width)
+    `tmp`: over the same chunks, `mlp_act_grads`, `mlp_backward` and
+    `mlp_block_grads` give the same numbers to the last bit.
+    """
+    grads = MlpParams(spec, np.empty(spec.param_count))
+    chunk = len(tmp)
+    chunks = [slice(lo, lo + chunk) for lo in range(0, len(g), chunk)]
+    d_act = _ACT_GRAD[spec.activation]
+    delta = g
+    for i in reversed(range(spec.hidden_layers)):
+        _layer_grads(grads, i + 1, delta, acts[i])
+        w = params.view(f"w{i + 1}")
+        for c in chunks:
+            a = acts[i][c]
+            t = tmp[: len(a)]
+            if spec.activation == "sigmoid":
+                # (1 - a) * a needs a second buffer: 1 - a goes to the scratch
+                # rows first, and the factors commute
+                np.subtract(1.0, a, out=t)
+                a *= t
+            else:
+                d_act(a, a)
+            _back_through(delta[c], w, t)
+            a *= t
+        delta = acts[i]
+    _layer_grads(grads, 0, delta, x)
+    g_in = np.empty((len(g), spec.in_dim))
+    for c in chunks:
+        np.matmul(delta[c], params.view("w0"), out=g_in[c])
+        if spec.bypass:
+            g_in[c] += g[c] @ params.view("bypass")
+    if spec.bypass:
+        np.matmul(g.T, x, out=grads.view("bypass"))
+    return grads.flat, g_in

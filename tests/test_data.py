@@ -262,6 +262,14 @@ def test_benchmark_splits_golden_digest(seed):
     assert digest.hexdigest() == BENCHMARK_SPLIT_DIGESTS[seed]
 
 
+def test_benchmark_splits_use_the_whole_seed():
+    # seeds 0 and 2**31 agree in their low 31 bits, and build_model already
+    # tells them apart, so the data must differ too
+    for a, b in zip(benchmark_splits(0), benchmark_splits(2**31)):
+        assert not np.array_equal(a.u, b.u)
+        assert not np.array_equal(a.y, b.y)
+
+
 def _reference_save_csv(dataset, path):
     """`save_csv` as one `csv.writer` row per sample."""
     header = [f"u{i + 1}" for i in range(dataset.n_u)] + [

@@ -222,6 +222,14 @@ def test_batch_iter_single_batch_shuffled():
     assert not np.array_equal(batches[0], idx.starts)
 
 
+def test_batch_iter_uses_the_whole_seed():
+    # seeds 0 and 2**31 agree in their low 31 bits, and build_model already
+    # tells them apart, so the batch order must differ too
+    idx = valid_starts(1000, 5, 2, 2)
+    first = [next(batch_iter(idx, 256, seed, epoch=0)) for seed in (0, 2**31)]
+    assert not np.array_equal(*first)
+
+
 def test_perfect_model_zero_loss():
     model = linear_toy_model(exact_encoder=True)
     rng = np.random.default_rng(0)
@@ -465,6 +473,36 @@ def test_workspace_reuse_is_bit_exact(noise, monkeypatch):
         assert list(grads) == list(ref_grads)
         for name in grads:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_default_gradient_workspace_footprint(noise, monkeypatch):
+    # a default-model gradient at T=40, B=256: under output-error, h and psi
+    # finish with their deltas over their activations, and h's activation
+    # buffers then hold f's deltas, so no delta role exists and the
+    # workspace is 4 (T, B, 64) buffers and small ones. The innovation
+    # structures keep their separate delta roles. Every gradient still
+    # matches the per-step reference graph
+    model = build_model(4, 1, 1, 10, 10, noise=noise, seed=2)
+    rng = np.random.default_rng(3)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = rng.normal(0, 0.1, size=(4, 1))
+    if noise == "general-innovation":
+        model.f_params.view("w0")[:, -1] = rng.normal(0, 0.1, size=64)
+    u = rng.normal(size=(400, 1))
+    y = rng.normal(size=(400, 1))
+    starts = valid_starts(400, 40, 10, 10).starts[:256]
+    monkeypatch.setattr(loss, "_workspace", {})
+    value, grads = encoder_loss(model, u, y, starts, 40, with_grad=True)
+    deltas = sorted(role for role in loss._workspace if "_deltas" in role)
+    if noise == "output-error":
+        assert deltas == []
+        assert sum(buf.nbytes for buf in loss._workspace.values()) <= 22 * 2**20
+    else:
+        assert deltas == ["f_deltas0", "f_deltas1", "h_deltas0", "h_deltas1"]
+    ref_value, ref_grads = _reference_loss(model, u, y, starts, 40)
+    assert np.array_equal(value, ref_value)
+    _assert_grads_close(grads, ref_grads, 1e-12)
 
 
 @pytest.mark.parametrize("noise", NOISES)

@@ -10,6 +10,7 @@ from subnet.nets import (
     init_xavier,
     mlp_act_grads,
     mlp_backward,
+    mlp_backward_in_place,
     mlp_block_grads,
     mlp_forward,
     xavier_bound,
@@ -168,6 +169,41 @@ def test_backward_matches_graph(activation, hidden_layers, bypass, out_dim):
     ref = tape.backward(tape.mean(tape.mul(y, tape.constant(g * g.size))))
     assert np.allclose(g_in.ravel(), ref["x"], rtol=1e-12, atol=1e-14)
     assert np.allclose(flat_grad, mlp_flat_grad(spec, "p", ref), rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu", "sigmoid"])
+@pytest.mark.parametrize("hidden_layers", [0, 1, 2])
+@pytest.mark.parametrize("bypass", [True, False])
+@pytest.mark.parametrize("out_dim", [1, 2])
+def test_backward_in_place_matches_separate_deltas(activation, hidden_layers, bypass,
+                                                   out_dim):
+    # 23 rows in chunks of 8, the last one partial: the in-place backward
+    # against mlp_act_grads and mlp_backward over the same chunks and
+    # mlp_block_grads over all rows, bit for bit
+    spec = MlpSpec(3, out_dim, hidden_layers=hidden_layers, hidden_width=5,
+                   activation=activation, bypass=bypass)
+    params = init_xavier(spec, 3)
+    params.flat[:] += np.random.default_rng(4).normal(0, 0.2, size=spec.param_count)
+    rng = np.random.default_rng(5)
+    rows, chunk = 23, 8
+    x = rng.normal(size=(rows, 3))
+    g = rng.normal(size=(rows, out_dim))
+    acts = [np.empty((rows, 5)) for _ in range(hidden_layers)]
+    mlp_forward(spec, params, x, acts)
+    deltas = [np.empty((rows, 5)) for _ in range(hidden_layers)]
+    g_in = np.empty((rows, 3))
+    for lo in range(0, rows, chunk):
+        c = slice(lo, lo + chunk)
+        mlp_act_grads(spec, [a[c] for a in acts], [d[c] for d in deltas])
+        g_in[c] = mlp_backward(spec, params, g[c], [d[c] for d in deltas],
+                               np.empty((chunk, 5)))
+    flat_grad = mlp_block_grads(spec, x, acts, deltas, g)
+
+    got_flat, got_g_in = mlp_backward_in_place(spec, params, x, acts, g,
+                                               np.empty((chunk, 5)))
+    assert np.array_equal(got_flat, flat_grad)
+    assert np.array_equal(got_g_in, g_in)
+    assert all(np.array_equal(a, d) for a, d in zip(acts, deltas))
 
 
 @pytest.mark.parametrize("bypass", [True, False])
