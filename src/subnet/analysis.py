@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .loss import _windows
+
 
 class DegenerateSignalError(ValueError):
     """Measured signal has (numerically) zero variance."""
@@ -65,15 +67,24 @@ class KStepProfile:
 
 
 def kstep_nrms(model, dataset, k_max):
-    """k-step prediction NRMS profile averaged over all valid start times."""
+    """k-step prediction NRMS profile averaged over all valid start times.
+
+    The measured outputs are read through a window view of `dataset.y`
+    (row i, step k is y[t_idx[i] + k]), so the only array beside the
+    predictions is one error buffer of their shape.
+    """
     t_idx, preds = model.kstep_predictions(dataset, k_max)
-    offs = np.arange(k_max + 1)
-    y_true = dataset.y[t_idx[:, None] + offs]  # (num_t, k_max+1, n_y)
+    y_true = _windows(dataset.y, k_max + 1)[t_idx[0] :]  # (num_t, k_max+1, n_y)
     sigma = dataset.y[model.lag :].std(axis=0)
     if np.any(sigma < 1e-12):
         raise DegenerateSignalError("measured signal std is (near) zero")
     with np.errstate(over="ignore"):  # an overflow gives inf, as in `nrms`
-        mse = np.mean((preds - y_true) ** 2, axis=0)  # (k_max+1, n_y)
+        err = np.subtract(preds, y_true)
+        np.square(err, out=err)
+        # one mean over the whole buffer: numpy sums axis 0 pairwise when it
+        # is contiguous (k_max 0, n_y 1), so a sum carried over blocks of
+        # rows would change the last bits
+        mse = np.mean(err, axis=0)  # (k_max+1, n_y)
         per_channel = np.sqrt(mse) / sigma
         values = np.sqrt(np.mean(per_channel**2, axis=1))
     return KStepProfile(values, t_idx, preds)

@@ -111,6 +111,12 @@ def _roll_windows(u, y, starts, horizon):
     return u[idx], y[idx]
 
 
+def _windows(a, width):
+    """(len(a) - width + 1, width, channels) view of `a`: row i, step k is
+    a[i + k]. A view of every start, where `_roll_windows` gathers a copy."""
+    return np.lib.stride_tricks.sliding_window_view(a, width, axis=0).transpose(0, 2, 1)
+
+
 def _enc_windows(u, y, starts, n_a, n_b):
     starts = np.asarray(starts)
     u_enc = u[starts[:, None] + np.arange(-n_b, 0)]

@@ -25,22 +25,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError
-from .loss import _CHUNK, _enc_windows, _roll_windows, _take
+from .loss import _CHUNK, _enc_windows, _take, _windows
 from .nets import MlpParams, MlpSpec, init_xavier, mlp_forward
 
 NOISE_STRUCTURES = ("output-error", "linear-innovation", "general-innovation")
 
-# rows per k-step rollout block: a block keeps its (rows, width) activation
-# buffers in cache. The split is a bit-exactness rule of OpenBLAS 0.3.31,
-# not a tuning knob. Against one unblocked rollout of 9950 rows, 128- and
-# 256-row blocks and balanced blocks (5 x 1990 rows) changed the last bits
-# of predictions, and so did a 30-row tail on 8222 rows; blocks of 512 to
-# 2048 rows starting at multiples of their size, with a tail under half a
-# block merged into the block before it, did not. That comparison holds at
-# one BLAS thread: with two, OpenBLAS splits the rows of one unblocked
-# 8222- or 9950-row product between the threads and its last bits change
-# at the split, while the blocked predictions stay the same at 1-4 threads
-KSTEP_BLOCK = 2048
+# rows per k-step block: a block runs the encoder over its starts and keeps
+# its (rows, width) activation buffers. The split is a bit-exactness rule of
+# OpenBLAS 0.3.31, not a tuning knob. Blocks start at multiples of 1024 rows
+# and a tail shorter than a block joins the block before it, so no block of
+# a split record has under 1024 rows. Against one unblocked rollout, this
+# rule kept every bit on all 346 row counts from 189 to 12958 in steps of
+# 37, at n_y = 1 and k_max 40 and at n_y = 2 and k_max 0. Two things break
+# it. Offsets do: balanced blocks (5 x 1990 rows of 9950) changed the last
+# bits. Small blocks do: OpenBLAS runs a product with at most 1200 output
+# elements in a small-matrix kernel with other bits, so a block of 300 rows
+# or fewer changes f's (rows, 4) output, and one of 600 or fewer h's output
+# at n_y = 2. A rule that keeps a tail of half a block or more therefore
+# failed: with 512-row blocks on 29 of the 346 counts, first at 781 rows
+# with a 269-row tail, and with 1024-row blocks on all 560 rows of the tail
+# of 2608 starts at n_y = 2. The comparison holds at one BLAS thread: with
+# two, OpenBLAS splits the rows of one unblocked 8222- or 9950-row product
+# between the threads and its last bits change at the split, while the
+# blocked predictions stay the same at 1-4 threads
+KSTEP_BLOCK = 1024
 
 CHECKPOINT_MAGIC = b"SSENC\x00"
 CHECKPOINT_VERSION = 1
@@ -73,9 +81,12 @@ class Normalization:
 
     def __post_init__(self):
         for name in ("u_mean", "u_std", "y_mean", "y_std"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if np.any(self.u_std <= 0) or np.any(self.y_std <= 0):
-            raise ValueError("normalization stds must be positive")
+            value = np.asarray(getattr(self, name), dtype=np.float64)
+            setattr(self, name, value)
+            std = name.endswith("std")
+            if not np.isfinite(value).all() or (std and np.any(value <= 0)):
+                kind = "finite and positive" if std else "finite"
+                raise ValueError(f"norm.{name} must be {kind}, got {value.tolist()}")
 
     @classmethod
     def identity(cls, n_u, n_y):
@@ -163,7 +174,10 @@ class SubnetModel:
     # -- forward computation (normalized signals) ----------------------------
 
     def encode(self, u_window, y_window):
-        """Initial state from normalized windows; supports a leading batch axis."""
+        """Initial state from normalized windows; supports a leading batch axis.
+
+        Raises `NumericError` when any state is non-finite.
+        """
         u_window = np.asarray(u_window, dtype=np.float64)
         y_window = np.asarray(y_window, dtype=np.float64)
         single = u_window.ndim == 2
@@ -184,7 +198,11 @@ class SubnetModel:
         z = np.concatenate(
             [u_window.reshape(b, -1), y_window.reshape(b, -1)], axis=1
         )
-        x0 = mlp_forward(self.psi_spec, self.psi_params, z)
+        # psi runs to the end with its warnings silenced, as the rollout does
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = mlp_forward(self.psi_spec, self.psi_params, z)
+        if not np.isfinite(x0).all():
+            raise NumericError("non-finite initial state from the encoder")
         return x0[0] if single else x0
 
     def rollout_batch(self, x0, u_roll, y_roll=None, teacher_forced=True, cache=None):
@@ -339,13 +357,19 @@ class SubnetModel:
         Returns (t_indices, preds) with preds[i, k] the prediction of
         y[t_indices[i] + k] made from data up to t_indices[i] (original units).
 
-        The encoder runs once over all starts; the rollout runs over row
-        blocks that start at multiples of `KSTEP_BLOCK` rows, and a last
-        block shorter than half of that joins the block before it. This
-        rule keeps the predictions bit-identical to one rollout over all
-        starts at one BLAS thread; smaller blocks, blocks at other offsets
-        or a short tail can change their last bits. A non-finite prediction raises
-        `NumericError` at its first step over all blocks.
+        The work runs over row blocks that start at multiples of
+        `KSTEP_BLOCK` rows, and a last block shorter than that joins the
+        block before it. Each block runs the encoder over its own starts
+        and then the rollout, whose inputs are window views of the
+        normalized record (row i, step k is u[t_indices[i] + k]), not
+        copies. Under output-error the innovation feeds nothing back, so
+        the rollout runs without y windows. The predictions are then
+        denormalized in place, so memory stays at the (N, k_max+1, n_y)
+        result plus one block. This rule keeps the predictions bit-identical
+        to one rollout over all starts at one BLAS thread; smaller blocks,
+        blocks at other offsets or a kept tail can change their last bits.
+        A non-finite prediction raises `NumericError` at its first step over
+        all blocks; a non-finite encoder state raises at once.
         """
         if k_max < 0:
             raise ValueError("k_max must be >= 0")
@@ -359,26 +383,34 @@ class SubnetModel:
         u = self.norm.norm_u(dataset.u)
         y = self.norm.norm_y(dataset.y)
         t_idx = np.arange(n, n_samples - k_max)
-        if init == "zero":
-            x0 = np.zeros((len(t_idx), self.n_x))
-        else:
-            x0 = self.encode(*_enc_windows(u, y, t_idx, self.n_a, self.n_b))
         b = len(t_idx)
+        u_roll = _windows(u[n:], k_max + 1)
+        y_roll = None if self.noise.tag == "output-error" else _windows(y[n:], k_max + 1)
         starts = list(range(0, b, KSTEP_BLOCK))
-        if len(starts) > 1 and b - starts[-1] < KSTEP_BLOCK // 2:
+        if len(starts) > 1 and b - starts[-1] < KSTEP_BLOCK:
             starts.pop()
         y_hat = np.empty((b, k_max + 1, self.n_y))
         error = None
         for lo, hi in zip(starts, starts[1:] + [b]):
-            u_roll, y_roll = _roll_windows(u, y, t_idx[lo:hi], k_max + 1)
+            if init == "zero":
+                x0 = np.zeros((hi - lo, self.n_x))
+            else:
+                x0 = self.encode(*_enc_windows(u, y, t_idx[lo:hi], self.n_a, self.n_b))
             try:
-                y_hat[lo:hi] = self.rollout_batch(x0[lo:hi], u_roll, y_roll)[0]
+                y_hat[lo:hi] = self.rollout_batch(
+                    x0,
+                    u_roll[lo:hi],
+                    None if y_roll is None else y_roll[lo:hi],
+                    teacher_forced=y_roll is not None,
+                )[0]
             except NumericError as exc:
                 if error is None or exc.index < error.index:
                     error = exc
         if error is not None:
             raise error
-        return t_idx, self.norm.denorm_y(y_hat)
+        y_hat *= self.norm.y_std
+        y_hat += self.norm.y_mean
+        return t_idx, y_hat
 
 
 def build_model(

@@ -29,7 +29,7 @@ VAL_METRICS = ("sim-nrms", "encoder-loss")
 
 
 class DegenerateChannelError(ValueError):
-    """A channel of the training data is constant; normalization impossible."""
+    """A channel of the training data is constant or too large to normalize."""
 
 
 def fit_normalization(dataset) -> Normalization:
@@ -38,8 +38,15 @@ def fit_normalization(dataset) -> Normalization:
         raise ValueError("empty training data")
     stats = []
     for label, arr in (("u", dataset.u), ("y", dataset.y)):
-        mean = arr.mean(axis=0)
-        std = arr.std(axis=0)
+        # values near the float64 limit overflow the sums; caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = arr.mean(axis=0)
+            std = arr.std(axis=0)
+        bad = np.nonzero(~(np.isfinite(mean) & np.isfinite(std)))[0]
+        if bad.size:
+            raise DegenerateChannelError(
+                f"{label} channel(s) {bad.tolist()}: mean or std overflows float64"
+            )
         bad = np.nonzero(std < 1e-12)[0]
         if bad.size:
             raise DegenerateChannelError(

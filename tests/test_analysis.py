@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import linear_toy_model, simulate_linear_toy
@@ -77,6 +79,46 @@ def test_kstep_matches_encoder_loss_for_oe():
     loss = encoder_loss(model, ds.u, ds.y, idx.starts, horizon)
     sigma2 = ds.y[model.lag :].var()
     assert np.mean(profile.values**2) * sigma2 == pytest.approx(loss, rel=1e-10)
+
+
+@pytest.mark.parametrize("n_y", [1, 2])
+@pytest.mark.parametrize("k_max", [0, 3])
+def test_kstep_nrms_bits_match_gathered_formula(n_y, k_max):
+    # the window view and the one error buffer give the bits of the gathered
+    # formula; 3000 samples span three rollout blocks, and at k_max 0 with
+    # n_y 1 numpy sums the contiguous axis 0 pairwise
+    rng = np.random.default_rng(n_y + 10 * k_max)
+    n = 3000
+    u = rng.normal(size=(n, 1))
+    y = np.stack(
+        [np.convolve(u[:, 0], [0.5, 0.3, 0.2 * c])[:n] for c in range(n_y)], axis=1
+    ) + 0.1 * rng.normal(size=(n, n_y))
+    model = build_model(3, 1, n_y, 4, 4, hidden_layers=1, hidden_width=8, seed=n_y)
+    profile = kstep_nrms(model, IoDataset(u, y), k_max)
+    t_idx, preds = profile.t_idx, profile.predictions
+    assert np.array_equal(t_idx, np.arange(model.lag, n - k_max))
+    mse = np.mean((preds - y[t_idx[:, None] + np.arange(k_max + 1)]) ** 2, axis=0)
+    per_channel = np.sqrt(mse) / y[model.lag :].std(axis=0)
+    assert np.array_equal(profile.values, np.sqrt(np.mean(per_channel**2, axis=1)))
+
+
+def test_kstep_nrms_memory_is_one_block_beside_the_predictions():
+    # 40000 samples at k_max 0: the predictions and the error buffer take
+    # 0.3 MiB each, and one 1024-row block of encoder and rollout buffers
+    # about 2 MiB. Gathering the encoder input, the rollout windows and the
+    # measured windows over every start took a 53 MiB peak
+    rng = np.random.default_rng(0)
+    n = 40_000
+    u = rng.normal(size=(n, 1))
+    ds = IoDataset(u, np.tanh(np.convolve(u[:, 0], [0.5, 0.3])[:n]))
+    model = build_model(4, 1, 1, 10, 10, seed=0)
+    tracemalloc.start()
+    try:
+        kstep_nrms(model, ds, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_g_of_d_hand_value():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subnet.loss
@@ -489,6 +489,35 @@ def test_eval_bad_checkpoint_header_is_io_error(tmp_path, small_csvs, capsys):
     assert "io error" in err and "is missing" in err and "Traceback" not in err
 
 
+def test_eval_infinite_norm_std_is_io_error(tmp_path, small_csvs, capsys):
+    # save_model writes the inf as JSON's Infinity, which the header parser
+    # reads back as inf; an inf std would scale every prediction to inf
+    model = build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=3)
+    model.norm.y_std = np.array([np.inf])
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    cfg = write_config(tmp_path, train_cfg_dict(small_csvs, tmp_path / "run"))
+    assert main(["--config", cfg, "eval", "--checkpoint", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert "io error" in err and "norm.y_std must be finite" in err
+    assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+def test_train_on_values_too_large_to_normalize_names_the_channel(tmp_path, capsys):
+    # a 400-sample record scaled by 1e200 overflows the std of each channel:
+    # a data error naming the channel, not a model with inf stds and a
+    # report.csv of 0,0,inf
+    ds = generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=400, seed=0))
+    csv_path = tmp_path / "huge.csv"
+    save_csv(IoDataset(1e200 * ds.u, 1e200 * ds.y), csv_path)
+    paths = {name: str(csv_path) for name in ("train", "val", "test")}
+    cfg = write_config(tmp_path, train_cfg_dict(paths, tmp_path / "run"))
+    assert main(["--config", cfg, "train"]) == 2
+    err = capsys.readouterr().err
+    assert "u channel(s) [0]: mean or std overflows float64" in err
+    assert not (tmp_path / "run" / "report.csv").exists()
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf"])
 def test_eval_nonfinite_csv_is_io_error(tmp_path, small_csvs, capsys, cell):
     out = tmp_path / "run"
@@ -723,6 +752,9 @@ _HEADER_PATHS = [
 
 
 @settings(max_examples=150, deadline=None)
+# psi's first matmul overflowed on the normalized input -1.26e308, and its
+# RuntimeWarning escaped `main`
+@example(byte_edits=[], header_edit=("norm.u_mean", 1.26030249479682e+308))
 @given(
     byte_edits=st.lists(_BYTE_EDITS, max_size=3),
     header_edit=st.one_of(

@@ -134,6 +134,49 @@ def test_normalization_round_trip(mean, std, val):
     assert np.allclose(norm.denorm_y(norm.norm_y(y)), y, rtol=1e-12, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("u_mean", np.nan, "finite"),
+        ("y_mean", -np.inf, "finite"),
+        ("u_std", np.inf, "finite and positive"),
+        ("y_std", 0.0, "finite and positive"),
+        ("y_std", -1.0, "finite and positive"),
+    ],
+)
+def test_normalization_requires_finite_values(field, value, kind):
+    values = {"u_mean": [0.0], "u_std": [1.0], "y_mean": [0.0], "y_std": [1.0]}
+    values[field] = [value]
+    with pytest.raises(ValueError, match=f"^norm.{field} must be {kind}, got"):
+        Normalization(**values)
+
+
+def test_encoder_overflow_raises_numeric_error():
+    # psi = 10 * newest y overflows on y = 1e308: a NumericError, and no
+    # RuntimeWarning from the matmul (the suite turns one into a failure)
+    model = linear_toy_model(exact_encoder=True)
+    model.psi_params.view("w0")[0, -1] = 10.0
+    with pytest.raises(NumericError, match="non-finite initial state from the encoder"):
+        model.encode(np.zeros((2, 1, 1)), np.array([[[0.0], [1.0]], [[0.0], [1e308]]]))
+
+
+def test_kstep_encoder_error_is_raised_at_once():
+    # the first block's rollout fails (x = 1e200 * x + u from u[500] = 1),
+    # and the second block's encoder overflows on y[2000] = 1e308: the
+    # encoder error has no step to compare, so it ends the call
+    model = linear_toy_model(a=1e200, exact_encoder=True)
+    model.psi_params.view("w0")[0, -1] = 10.0
+    u = np.zeros((3200, 1))
+    u[500] = 1.0
+    y = np.zeros((3200, 1))
+    y[2000] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="encoder") as err:
+            model.kstep_predictions(IoDataset(u, y), 40)
+    assert err.value.index is None
+
+
 def test_simulate_free_run_matches_reference():
     model = linear_toy_model(exact_encoder=True)
     rng = np.random.default_rng(11)
@@ -183,28 +226,43 @@ def _long_record():
     return generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=10_000, seed=3))
 
 
-# 2100 starts are one block, 4200 two, 8222 merge a 30-row tail into the
-# fourth block, and 9950 is the eval benchmark's shape (five blocks)
+# with 1024-row blocks and a tail shorter than a block merged into the block
+# before it: 1000 starts are one block; 2100 two, the second of 1076 rows;
+# 3584 three, the last of 1536 (a half-block tail, merged); 4200 four, the
+# last of 1128; 8222 eight, the last of 1054; and 9950, the eval benchmark's
+# shape, nine, the last of 1758
 _KSTEP_CASES = [
+    ("output-error", 1000),
     ("output-error", 2100),
+    ("output-error", 3584),
     ("output-error", 4200),
     ("output-error", 8222),
     ("output-error", 9950),
     ("linear-innovation", 4200),
     ("general-innovation", 4200),
 ]
+# two outputs: 2608 starts end in a 560-row tail, which a rule that merges
+# only a tail under half a block would keep; h's (560, 2) output product
+# then runs in OpenBLAS's small-matrix kernel, whose last bits differ
+_KSTEP_CASES_TWO_OUTPUTS = [
+    ("output-error", 2608),
+    ("general-innovation", 2608),
+]
 
 
-def _kstep_case(record, noise, b):
+def _kstep_case(record, noise, b, n_y=1):
+    if n_y == 2:
+        # the second output channel is the square of the first
+        record = IoDataset(record.u, np.hstack([record.y, record.y**2]))
     ds = IoDataset(record.u[: b + 50], record.y[: b + 50])
     model = build_model(
-        4, 1, 1, 10, 10, noise=noise, seed=0, norm=fit_normalization(record)
+        4, 1, n_y, 10, 10, noise=noise, seed=0, norm=fit_normalization(record)
     )
     rng = np.random.default_rng(1)
     if noise == "linear-innovation":
         model.noise.gain[:] = 0.1 * rng.normal(size=model.noise.gain.shape)
     if noise == "general-innovation":
-        model.f_params.view("w0")[:, -1] = 0.05 * rng.normal(size=64)
+        model.f_params.view("w0")[:, -n_y:] = 0.05 * rng.normal(size=(64, n_y))
     return model, ds
 
 
@@ -212,14 +270,17 @@ _ONE_THREAD_ROLLOUTS = """
 import sys
 
 import numpy as np
-from test_model import _KSTEP_CASES, _kstep_case, _long_record, _one_rollout
+from test_model import (
+    _KSTEP_CASES, _KSTEP_CASES_TWO_OUTPUTS, _kstep_case, _long_record, _one_rollout,
+)
 
 record = _long_record()
 refs = {}
-for noise, b in _KSTEP_CASES:
-    model, ds = _kstep_case(record, noise, b)
-    t_idx = np.arange(model.lag, len(ds) - 40)
-    refs[f"{noise}-{b}"] = _one_rollout(model, ds, t_idx, 40)
+for n_y, cases in ((1, _KSTEP_CASES), (2, _KSTEP_CASES_TWO_OUTPUTS)):
+    for noise, b in cases:
+        model, ds = _kstep_case(record, noise, b, n_y)
+        t_idx = np.arange(model.lag, len(ds) - 40)
+        refs[f"{noise}-{b}-{n_y}"] = _one_rollout(model, ds, t_idx, 40)
 np.savez(sys.argv[1], **refs)
 """
 
@@ -257,13 +318,23 @@ def test_kstep_blocks_match_one_rollout(long_record, one_thread_rollouts, noise,
     model, ds = _kstep_case(long_record, noise, b)
     t_idx, preds = model.kstep_predictions(ds, 40)
     assert len(t_idx) == b
-    assert np.array_equal(preds, one_thread_rollouts[f"{noise}-{b}"])
+    assert np.array_equal(preds, one_thread_rollouts[f"{noise}-{b}-1"])
+
+
+@pytest.mark.parametrize("noise, b", _KSTEP_CASES_TWO_OUTPUTS)
+def test_kstep_blocks_match_one_rollout_two_outputs(
+    long_record, one_thread_rollouts, noise, b
+):
+    model, ds = _kstep_case(long_record, noise, b, n_y=2)
+    t_idx, preds = model.kstep_predictions(ds, 40)
+    assert len(t_idx) == b
+    assert np.array_equal(preds, one_thread_rollouts[f"{noise}-{b}-2"])
 
 
 def test_kstep_numeric_error_names_first_step_over_blocks():
     # x = 1e200 * x + u with y = 0: a start t <= 2054 turns non-finite at step
-    # 2057 - t, so the first block (t <= 2048) first fails at step 9 and the
-    # second at step 3, from t = 2054
+    # 2057 - t, so the second block (1025 <= t <= 2048) first fails at step 9
+    # and the third at step 3, from t = 2054
     model = linear_toy_model(a=1e200, exact_encoder=True)
     u = np.zeros((3200, 1))
     u[2054] = 1.0
@@ -455,6 +526,16 @@ def test_checkpoint_bad_header_field(tmp_path, field, value, message):
     save_model(linear_toy_model(), path)
     _rewrite_header(path, lambda header: header.update({field: value}))
     with pytest.raises(CheckpointError, match=message):
+        load_model(path)
+
+
+def test_checkpoint_infinite_norm_std(tmp_path):
+    # save_model writes the inf as JSON's Infinity, and json reads it back
+    model = linear_toy_model()
+    model.norm.y_std = np.array([np.inf])
+    path = tmp_path / "model.bin"
+    save_model(model, path)
+    with pytest.raises(CheckpointError, match="norm.y_std must be finite and positive"):
         load_model(path)
 
 
