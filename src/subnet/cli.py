@@ -16,13 +16,15 @@ import csv
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis, baselines, data
 from .autodiff import NumericError
-from .model import CheckpointError, load_model, save_model
-from .optim import TrainConfig, train, write_report_csv, write_timing_csv
+from .model import NOISE_STRUCTURES, CheckpointError, load_model, save_model
+from .nets import ACTIVATIONS
+from .optim import VAL_METRICS, TrainConfig, train, write_report_csv, write_timing_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,90 +38,56 @@ class ConfigError(ValueError):
 
 # -- config schema (unknown keys rejected) ------------------------------------
 
+
+class _Key(NamedTuple):
+    """A config key's JSON type, and its least value or the strings it may
+    take; for a list key, `item` is its items' type, and the bound holds
+    for each item."""
+
+    kind: type
+    bound: object = None
+    item: type | None = None
+    nullable: bool = False  # JSON null means "no value"
+
+
 _SPLIT_KEYS = ("train_len", "val_len", "test_len")
-_GENERATOR_KEYS = {"variant", "sigma_k", "sigma_e", "seed"}
-_DATA_KEYS = {
-    "generator": _GENERATOR_KEYS,
-    "train_csv": None,
-    "val_csv": None,
-    "test_csv": None,
-    "csv": None,
-    "split": set(_SPLIT_KEYS),
-    "n_u": None,
-    "n_y": None,
-}
-_MODEL_KEYS = {
-    "n_x", "n_a", "n_b", "noise",
-    "hidden_layers", "hidden_width", "activation", "bypass",
-}
-_TRAIN_KEYS = {
-    "horizon", "batch_size", "spacing", "learning_rate",
-    "max_epochs", "patience", "val_metric", "budget_s",
-}
-_SCHEMA = {
-    "seed": None,
-    "out": None,
-    "data": _DATA_KEYS,
-    "model": _MODEL_KEYS,
-    "train": _TRAIN_KEYS,
-    "eval": {"checkpoint", "k_max"},
-    "compare": {"variants", "budget_s"},
-    "analyze": {"horizons", "record_lengths", "n_trials", "max_horizon_sweep"},
-}
-
-
-# the JSON type of each key that must have one; `type(value) is int` also
-# turns away bools, which Python counts as ints, and `float` stands for a
-# finite JSON number, integer or not
-_KEY_TYPES = {
-    **{f"train.{key}": int for key in (
-        "horizon", "spacing", "batch_size", "max_epochs", "patience",
-    )},
-    **{f"model.{key}": int for key in (
-        "n_x", "n_a", "n_b", "hidden_layers", "hidden_width",
-    )},
-    "model.bypass": bool,
-    "eval.k_max": int,
+# every config key by its dotted path; a section is a prefix of its keys.
+# `type(value) is int` also turns away bools, which Python counts as ints,
+# and `float` stands for a finite JSON number, integer or not
+_KEYS = {
+    "seed": _Key(int, 0),
+    "out": _Key(str),
     # a path: `open` would take an integer for a file descriptor
-    **{f"data.{key}": str for key in ("train_csv", "val_csv", "test_csv", "csv")},
-    "eval.checkpoint": str,
-    "out": str,
-    "seed": int,
-    "data.n_u": int,
-    "data.n_y": int,
-    "data.generator.seed": int,
-    "data.generator.sigma_k": float,
-    "data.generator.sigma_e": float,
-    **{f"data.split.{key}": int for key in _SPLIT_KEYS},
-    "train.learning_rate": float,
-    "train.budget_s": float,
-    "compare.budget_s": float,
-    "compare.variants": list,
-    "analyze.n_trials": int,
-    "analyze.max_horizon_sweep": int,
-    "analyze.horizons": list,
-    "analyze.record_lengths": list,
-}
-# the keys whose JSON null means "no value": a budget of null is no budget
-_NULLABLE = {"train.budget_s", "compare.budget_s"}
-# the type of each item of the list keys
-_LIST_ITEMS = {"analyze.horizons": int, "analyze.record_lengths": int, "compare.variants": str}
-# the least value of a number key, or of each integer in a list key
-_MINIMUM = {
-    "model.n_a": 0, "model.n_b": 0, "model.hidden_layers": 0, "model.n_x": 1,
-    "model.hidden_width": 1,
-    "train.horizon": 1, "train.spacing": 1, "train.batch_size": 1,
-    "train.max_epochs": 0, "train.patience": 0, "train.learning_rate": 0,
-    "train.budget_s": 0, "compare.budget_s": 0,
-    "eval.k_max": 0,
-    "seed": 0, "data.generator.seed": 0,
-    "data.n_u": 1, "data.n_y": 1,
-    "data.generator.sigma_k": 0, "data.generator.sigma_e": 0,
-    **{f"data.split.{key}": 0 for key in _SPLIT_KEYS},
+    **{f"data.{key}": _Key(str) for key in ("train_csv", "val_csv", "test_csv", "csv")},
+    "data.n_u": _Key(int, 1),
+    "data.n_y": _Key(int, 1),
+    **{f"data.split.{key}": _Key(int, 0) for key in _SPLIT_KEYS},
+    "data.generator.variant": _Key(str, data.SIM_VARIANTS),
+    "data.generator.sigma_k": _Key(float, 0),
+    "data.generator.sigma_e": _Key(float, 0),
+    "data.generator.seed": _Key(int, 0),
+    **{f"model.{key}": _Key(int, 1) for key in ("n_x", "hidden_width")},
+    **{f"model.{key}": _Key(int, 0) for key in ("n_a", "n_b", "hidden_layers")},
+    "model.noise": _Key(str, NOISE_STRUCTURES),
+    "model.activation": _Key(str, ACTIVATIONS),
+    "model.bypass": _Key(bool),
+    **{f"train.{key}": _Key(int, 1) for key in ("horizon", "spacing", "batch_size")},
+    **{f"train.{key}": _Key(int, 0) for key in ("max_epochs", "patience")},
+    "train.learning_rate": _Key(float, 0),
+    "train.val_metric": _Key(str, VAL_METRICS),
+    # a budget of null is no budget
+    "train.budget_s": _Key(float, 0, nullable=True),
+    "eval.checkpoint": _Key(str),
+    "eval.k_max": _Key(int, 0),
+    "compare.variants": _Key(list, baselines.VARIANTS, item=str),
+    "compare.budget_s": _Key(float, 0, nullable=True),
     # a variance needs two trials; a horizon and a record at least a sample
-    "analyze.n_trials": 2, "analyze.max_horizon_sweep": 0,
-    "analyze.horizons": 1, "analyze.record_lengths": 1,
+    "analyze.n_trials": _Key(int, 2),
+    "analyze.max_horizon_sweep": _Key(int, 0),
+    "analyze.horizons": _Key(list, 1, item=int),
+    "analyze.record_lengths": _Key(list, 1, item=int),
 }
+_SECTIONS = {key[:i] for key in _KEYS for i, c in enumerate(key) if c == "."}
 _JSON_NAMES = {int: "integer", float: "number", bool: "boolean", str: "string", list: "list"}
 
 
@@ -130,36 +98,45 @@ def _has_type(value, kind):
     return type(value) is kind
 
 
-def _validate(node, schema, path=""):
+def _check(where, value, key):
+    if value is None and key.nullable:
+        return
+    if not _has_type(value, key.kind):
+        raise ConfigError(
+            f"config key {where} must be a JSON {_JSON_NAMES[key.kind]}, "
+            f"got {json.dumps(value)}"
+        )
+    values = [value]
+    if key.item is not None:
+        if any(type(v) is not key.item for v in value):
+            raise ConfigError(
+                f"config key {where} must be a JSON list of {_JSON_NAMES[key.item]}s, "
+                f"got {json.dumps(value)}"
+            )
+        values = value
+    if isinstance(key.bound, tuple):
+        if any(v not in key.bound for v in values):
+            raise ConfigError(
+                f"config key {where} must be one of {json.dumps(list(key.bound))}, "
+                f"got {json.dumps(value)}"
+            )
+    elif key.bound is not None and any(v < key.bound for v in values):
+        raise ConfigError(
+            f"config key {where} must be >= {key.bound}, got {json.dumps(value)}"
+        )
+
+
+def _validate(node, path=""):
     if not isinstance(node, dict):
         raise ConfigError(f"config section {path or '<root>'} must be an object")
     for key, value in node.items():
         where = f"{path}.{key}" if path else key
-        if key not in schema:
+        if "." in key or where not in _KEYS and where not in _SECTIONS:
             raise ConfigError(f"unknown config key: {where}")
-        if value is None and where in _NULLABLE:
-            continue
-        kind = _KEY_TYPES.get(where)
-        if kind is not None and not _has_type(value, kind):
-            raise ConfigError(
-                f"config key {where} must be a JSON {_JSON_NAMES[kind]}, "
-                f"got {json.dumps(value)}"
-            )
-        item = _LIST_ITEMS.get(where)
-        if item is not None and any(type(v) is not item for v in value):
-            raise ConfigError(
-                f"config key {where} must be a JSON list of {_JSON_NAMES[item]}s, "
-                f"got {json.dumps(value)}"
-            )
-        least = _MINIMUM.get(where)
-        values = value if item is not None else [value]
-        if least is not None and any(v < least for v in values):
-            raise ConfigError(
-                f"config key {where} must be >= {least}, got {json.dumps(value)}"
-            )
-        sub = schema[key] if isinstance(schema, dict) else None
-        if isinstance(sub, (dict, set)):
-            _validate(value, sub, where)
+        if where in _SECTIONS:
+            _validate(value, where)
+        else:
+            _check(where, value, _KEYS[where])
 
 
 def load_config(path):
@@ -172,25 +149,13 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    _validate(cfg, _SCHEMA)
+    _validate(cfg)
     return cfg
 
 
 def _train_config(cfg, seed):
-    model_cfg = cfg.get("model", {})
-    train_cfg = cfg.get("train", {})
-    kwargs = {}
-    for key in _MODEL_KEYS:
-        if key in model_cfg:
-            kwargs[key] = model_cfg[key]
-    for key in _TRAIN_KEYS:
-        if key in train_cfg:
-            kwargs[key] = train_cfg[key]
-    kwargs["seed"] = seed
-    try:
-        return TrainConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad train/model config: {exc}") from exc
+    # every model and train key is a TrainConfig field of the same name
+    return TrainConfig(**cfg.get("model", {}), **cfg.get("train", {}), seed=seed)
 
 
 def _load_datasets(cfg, seed, need=("train", "val", "test")):
@@ -385,9 +350,6 @@ def cmd_compare(args, cfg):
     seed = _seed(args, cfg)
     compare_cfg = cfg.get("compare", {})
     variants = compare_cfg.get("variants", list(baselines.VARIANTS))
-    for v in variants:
-        if v not in baselines.VARIANTS:
-            raise ConfigError(f"unknown compare variant {v!r}")
     datasets = _load_datasets(cfg, seed)
     config = _train_config(cfg, seed)
     if "budget_s" in compare_cfg:

@@ -122,12 +122,6 @@ def _step(x1, x2, u, e, variant, gain):
     return nx1, nx2
 
 
-def sim_system_step(x, u, e=0.0, variant="base", gain=None):
-    """One state update of the synthetic system (noise-free when e=0)."""
-    x1, x2 = x
-    return np.array(_step(x1, x2, u, e, variant, gain))
-
-
 def generate_sim_system(config: SimSystemConfig) -> IoDataset:
     """Simulate from x0 = 0 with u ~ U(a, b) and e ~ N(0, sigma_e^2) i.i.d."""
     rng = np.random.default_rng(config.seed)

@@ -92,14 +92,21 @@ class Normalization:
     def identity(cls, n_u, n_y):
         return cls(np.zeros(n_u), np.ones(n_u), np.zeros(n_y), np.ones(n_y))
 
+    # a finite but extreme checkpoint normalization can overflow; these run
+    # with the warnings silenced, as the rollout does, so that the inf or
+    # NaN reaches the encoder's check or the NRMS instead of a warning
+
     def norm_u(self, u):
-        return (np.asarray(u, dtype=np.float64) - self.u_mean) / self.u_std
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.asarray(u, dtype=np.float64) - self.u_mean) / self.u_std
 
     def norm_y(self, y):
-        return (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
+        with np.errstate(over="ignore", invalid="ignore"):
+            return (np.asarray(y, dtype=np.float64) - self.y_mean) / self.y_std
 
     def denorm_y(self, y):
-        return np.asarray(y, dtype=np.float64) * self.y_std + self.y_mean
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(y, dtype=np.float64) * self.y_std + self.y_mean
 
 
 @dataclass
@@ -408,8 +415,9 @@ class SubnetModel:
                     error = exc
         if error is not None:
             raise error
-        y_hat *= self.norm.y_std
-        y_hat += self.norm.y_mean
+        with np.errstate(over="ignore", invalid="ignore"):  # as `denorm_y`
+            y_hat *= self.norm.y_std
+            y_hat += self.norm.y_mean
         return t_idx, y_hat
 
 

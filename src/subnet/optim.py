@@ -116,9 +116,6 @@ class TrainConfig:
     val_metric: str = "sim-nrms"
     seed: int = 0
     budget_s: float | None = None  # wall-clock cap, checked at epoch boundaries
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.val_metric not in VAL_METRICS:
@@ -146,9 +143,7 @@ def run_training_loop(blocks, loss_grad_fn, val_fn, index_set, config: TrainConf
     current parameter values. Returns (best_blocks, report); on numeric
     divergence the report is flagged and the best (last good) snapshot wins.
     """
-    state = AdamState(
-        lr=config.learning_rate, beta1=config.beta1, beta2=config.beta2, eps=config.eps
-    )
+    state = AdamState(lr=config.learning_rate)
     report = TrainReport()
     best_blocks = {k: v.copy() for k, v in blocks.items()}
     best_val = np.inf

@@ -1,7 +1,9 @@
-"""Shared helpers: hand-settable toy models with known closed forms."""
+"""Shared helpers: hand-settable toy models with known closed forms, and
+one state update of the synthetic system."""
 
 import numpy as np
 
+from subnet import data
 from subnet.model import NoiseStructure, SubnetModel
 from subnet.nets import MlpParams, MlpSpec
 
@@ -50,3 +52,9 @@ def simulate_linear_toy(u, a=0.5, b_u=1.0, x0=0.0):
         y[k] = x
         x = a * x + b_u * u[k]
     return y
+
+
+def sim_system_step(x, u, e=0.0, variant="base", gain=None):
+    """One state update of the synthetic system (noise-free when e=0)."""
+    x1, x2 = x
+    return np.array(data._step(x1, x2, u, e, variant, gain))

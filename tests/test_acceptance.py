@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import linear_toy_model
+from conftest import linear_toy_model, sim_system_step
 
 from subnet.analysis import g_of_d, mc_start_counts, nrms, overlap_variance_mc
 from subnet.autodiff import grad_check
@@ -23,7 +23,6 @@ from subnet.data import (
     load_csv,
     benchmark_splits,
     save_csv,
-    sim_system_step,
     slice_splits,
 )
 from subnet.loss import encoder_loss, valid_starts

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -9,13 +10,13 @@ from hypothesis import strategies as st
 
 import subnet.loss
 from subnet.baselines import VARIANTS
-from subnet.cli import main
+from subnet.cli import _KEYS, main
 from subnet.data import (
     SIM_VARIANTS, IoDataset, SimSystemConfig, generate_sim_system, load_csv, save_csv,
 )
 from subnet.model import NOISE_STRUCTURES, SubnetModel, build_model, load_model, save_model
 from subnet.nets import ACTIVATIONS
-from subnet.optim import VAL_METRICS, fit_normalization
+from subnet.optim import VAL_METRICS, TrainConfig, fit_normalization
 
 MODEL_CFG = {"n_x": 2, "n_a": 2, "n_b": 2, "hidden_layers": 1, "hidden_width": 6}
 TRAIN_CFG = {"horizon": 4, "batch_size": 64, "max_epochs": 2, "patience": 50}
@@ -383,6 +384,22 @@ def test_eval_kstep_csv_spans_write_chunks(tmp_path):
         ("model", "hidden_width", 0, "model.hidden_width must be >= 1, got 0"),
         ("train", "budget_s", -1, "train.budget_s must be >= 0, got -1"),
         ("compare", "budget_s", -0.5, "compare.budget_s must be >= 0, got -0.5"),
+        ("model", "noise", 5, "model.noise must be a JSON string, got 5"),
+        ("model", "noise", "colored",
+         f'model.noise must be one of {json.dumps(NOISE_STRUCTURES)}, got "colored"'),
+        ("model", "activation", None, "model.activation must be a JSON string, got null"),
+        ("model", "activation", "elu",
+         f'model.activation must be one of {json.dumps(ACTIVATIONS)}, got "elu"'),
+        ("train", "val_metric", True, "train.val_metric must be a JSON string, got true"),
+        ("train", "val_metric", "x",
+         'train.val_metric must be one of ["sim-nrms", "encoder-loss"], got "x"'),
+        ("data", "generator.variant", 2,
+         "data.generator.variant must be a JSON string, got 2"),
+        ("data", "generator.variant", "chaotic",
+         f'data.generator.variant must be one of {json.dumps(SIM_VARIANTS)}, got "chaotic"'),
+        ("compare", "variants", ["encoder-overlap", "bogus"],
+         f"compare.variants must be one of {json.dumps(VARIANTS)}, "
+         'got ["encoder-overlap", "bogus"]'),
     ],
 )
 def test_bad_config_value_names_key(tmp_path, small_csvs, capsys, section, key, value,
@@ -501,6 +518,34 @@ def test_eval_infinite_norm_std_is_io_error(tmp_path, small_csvs, capsys):
     err = capsys.readouterr().err
     assert "io error" in err and "norm.y_std must be finite" in err
     assert not (tmp_path / "run" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value, code",
+    [("u_mean", 1.7e308, 3), ("y_std", 1e308, 0), ("y_mean", 1.7e308, 0)],
+)
+def test_eval_extreme_normalization_exits_without_warning(tmp_path, small_csvs, capsys,
+                                                          field, value, code):
+    # a finite normalization whose (de)normalization overflows: an inf input
+    # makes a NaN encoder state (exit 3), an inf prediction an inf NRMS
+    # (exit 0); neither lets a RuntimeWarning escape `main`
+    model = build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=3)
+    model.psi_params.flat[:] = 0.0  # a zero state from every finite window
+    model.h_params.view("b1")[:] = 1e307  # every normalized prediction
+    setattr(model.norm, field, np.array([value]))
+    model.norm.u_std = np.array([0.5])
+    save_model(model, tmp_path / "model.bin")
+    cfg = write_config(tmp_path, train_cfg_dict(small_csvs, tmp_path / "run"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--config", cfg, "eval", "--checkpoint", str(tmp_path / "model.bin"),
+                     "--kmax", "2"]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert "free_run_nrms,inf" in (tmp_path / "run" / "metrics.csv").read_text()
+    else:
+        assert "non-finite initial state from the encoder" in err
 
 
 def test_train_on_values_too_large_to_normalize_names_the_channel(tmp_path, capsys):
@@ -721,6 +766,19 @@ def test_generator_config_fuzz_exits_with_a_code(fuzz_dir, values):
     cfg = {"data": {"generator": values}, "out": str(fuzz_dir / "generated")}
     path = write_config(fuzz_dir, cfg)
     assert main(["--config", path, "--force", "generate"]) in (0, 2, 3, 4)
+
+
+def test_key_table_matches_fuzz_and_train_config():
+    # the fuzz draws every config key but the paths of the CSV trio and of
+    # `out`, and `_train_config` passes each model and train key on by name
+    fuzzed = set(_VALID_VALUES) | {f"data.generator.{key}" for key in _GENERATOR_VALUES}
+    unfuzzed = {"out", "data.train_csv", "data.val_csv", "data.test_csv"}
+    assert set(_KEYS) == fuzzed | unfuzzed
+    fields = {field.name for field in dataclasses.fields(TrainConfig)}
+    for key in _KEYS:
+        section, _, name = key.partition(".")
+        if section in ("model", "train"):
+            assert name in fields, key
 
 
 @pytest.fixture(scope="module")

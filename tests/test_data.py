@@ -3,6 +3,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import sim_system_step
 
 from subnet import data
 from subnet.data import (
@@ -16,7 +17,6 @@ from subnet.data import (
     load_csv,
     benchmark_splits,
     save_csv,
-    sim_system_step,
     slice_splits,
 )
 
