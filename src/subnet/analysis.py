@@ -52,7 +52,7 @@ def nrms(y_measured, y_predicted, skip=0):
 def free_run_nrms(model, dataset, init):
     """NRMS of a free-run simulation of `dataset` past the encoder warm-up;
     `init` is the initial-state source ("encoder" or "zero")."""
-    sim = model.simulate(dataset, mode="free-run", init=init)
+    sim = model.simulate(dataset, init=init)
     return nrms(dataset.y, sim.y_sim, skip=sim.skip)
 
 

@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import NamedTuple
 
@@ -179,9 +180,14 @@ def _load_datasets(cfg, seed, need=("train", "val", "test")):
         for key in _SPLIT_KEYS:
             if key not in split:
                 raise ConfigError(f"data.csv requires data.split.{key}")
-        parts = data.slice_splits(
-            full, split["train_len"], split["val_len"], split["test_len"]
-        )
+        # the library warns of dropped trailing samples; a user reads a note
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parts = data.slice_splits(
+                full, split["train_len"], split["val_len"], split["test_len"]
+            )
+        for warning in caught:
+            print(f"note: {warning.message}", file=sys.stderr)
         return dict(zip(("train", "val", "test"), parts))
     out = {}
     for name in need:
@@ -297,7 +303,7 @@ def cmd_eval(args, cfg):
             f"n_u={test.n_u}, n_y={test.n_y}"
         )
     k_max = args.kmax if args.kmax is not None else eval_cfg.get("k_max", 0)
-    sim = model.simulate(test, mode="free-run")
+    sim = model.simulate(test)
     test_nrms = analysis.nrms(test.y, sim.y_sim, skip=sim.skip)
     print(f"free-run NRMS: {test_nrms:.6g} ({100 * test_nrms:.4g}%)")
 

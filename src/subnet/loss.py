@@ -105,15 +105,9 @@ def batch_iter(index_set: IndexSet, n_batch, seed, epoch):
         yield starts[pos : pos + n_batch]
 
 
-def _roll_windows(u, y, starts, horizon):
-    offs = np.arange(horizon)
-    idx = np.asarray(starts)[:, None] + offs
-    return u[idx], y[idx]
-
-
 def _windows(a, width):
     """(len(a) - width + 1, width, channels) view of `a`: row i, step k is
-    a[i + k]. A view of every start, where `_roll_windows` gathers a copy."""
+    a[i + k]. Indexing its rows with the starts gathers their sections."""
     return np.lib.stride_tricks.sliding_window_view(a, width, axis=0).transpose(0, 2, 1)
 
 
@@ -329,7 +323,8 @@ def _section_loss(model, u, y, starts, horizon, blocks, source, initial_states,
         raise EmptyIndexSetError("empty index subset")
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    u_roll, y_roll = _roll_windows(u, y, starts, horizon)
+    u_roll = _windows(u, horizon)[starts]
+    y_roll = _windows(y, horizon)[starts]
     x0, x0_backward = initial_states(u, y, starts, with_grad)
     if not with_grad:
         return float(_rollout_value(model, u_roll, y_roll, x0, starts)[0])

@@ -181,25 +181,22 @@ class SubnetModel:
     # -- forward computation (normalized signals) ----------------------------
 
     def encode(self, u_window, y_window):
-        """Initial state from normalized windows; supports a leading batch axis.
+        """(B, n_x) initial states from B normalized windows, (B, n_b, n_u)
+        and (B, n_a+1, n_y), as `loss._enc_windows` gathers them.
 
         Raises `NumericError` when any state is non-finite.
         """
         u_window = np.asarray(u_window, dtype=np.float64)
         y_window = np.asarray(y_window, dtype=np.float64)
-        single = u_window.ndim == 2
-        if single:
-            u_window = u_window[None]
-            y_window = y_window[None]
         if u_window.shape[1:] != (self.n_b, self.n_u):
             raise ValueError(
-                f"encoder u window must be (n_b={self.n_b}, n_u={self.n_u}), "
-                f"got {u_window.shape[1:]}"
+                f"encoder u windows must be (B, n_b={self.n_b}, n_u={self.n_u}), "
+                f"got {u_window.shape}"
             )
         if y_window.shape[1:] != (self.n_a + 1, self.n_y):
             raise ValueError(
-                f"encoder y window must be (n_a+1={self.n_a + 1}, n_y={self.n_y}), "
-                f"got {y_window.shape[1:]}"
+                f"encoder y windows must be (B, n_a+1={self.n_a + 1}, n_y={self.n_y}), "
+                f"got {y_window.shape}"
             )
         b = u_window.shape[0]
         z = np.concatenate(
@@ -210,13 +207,14 @@ class SubnetModel:
             x0 = mlp_forward(self.psi_spec, self.psi_params, z)
         if not np.isfinite(x0).all():
             raise NumericError("non-finite initial state from the encoder")
-        return x0[0] if single else x0
+        return x0
 
-    def rollout_batch(self, x0, u_roll, y_roll=None, teacher_forced=True, cache=None):
+    def rollout_batch(self, x0, u_roll, y_roll=None, cache=None):
         """Roll the model forward from x0 (B, n_x) over u_roll (B, T, n_u).
 
-        Innovations are y - y_hat when teacher_forced (requires y_roll) and
-        zero otherwise (the innovation's conditional expectation).
+        Given the measured outputs y_roll (B, T, n_y), the rollout is
+        teacher-forced: the innovations are y - y_hat. Without them it runs
+        free, and the innovations are zero (their conditional expectation).
         Returns (y_hat (B,T,n_y), e_hat (B,T,n_y)). `x0` is never written.
 
         `cache`, when given, is a dict that receives what the loss adjoint
@@ -250,6 +248,7 @@ class SubnetModel:
         b, horizon = u_roll.shape[:2]
         y_hat = np.empty((b, horizon, self.n_y))
         tag = self.noise.tag
+        teacher_forced = y_roll is not None
         step_innovation = teacher_forced and tag != "output-error"
         e_hat = (np.empty if teacher_forced else np.zeros)((b, horizon, self.n_y))
         # steps per h call after the loop
@@ -325,44 +324,36 @@ class SubnetModel:
                 f"match model (n_u={self.n_u}, n_y={self.n_y})"
             )
 
-    def initial_state(self, u_n, y_n, init="encoder"):
-        n = self.lag
-        if init == "zero":
-            return np.zeros(self.n_x)
-        return self.encode(u_n[n - self.n_b : n], y_n[n - self.n_a : n + 1])
+    def simulate(self, dataset, init="encoder"):
+        """Free-run simulation of the full record; output in original units.
 
-    def simulate(self, dataset, mode="free-run", init="encoder"):
-        """Simulate the full record; output in original units.
-
-        The first `lag` samples feed the encoder and are returned as NaN;
-        they must be excluded from any error metric. "free-run" never reads
-        measured outputs past the encoder window; "teacher-forced" computes
-        the innovation from the measurement at every step.
+        The state at t = `lag` comes from the encoder, or is zero when
+        `init="zero"`. The first `lag` samples are returned as NaN and must be
+        excluded from any error metric. The whole-record teacher-forced
+        prediction is the full-depth `kstep_predictions`.
         """
-        if mode not in ("free-run", "teacher-forced"):
-            raise ValueError(f"unknown simulation mode {mode!r}")
         self._check_channels(dataset)
         n = self.lag
         if len(dataset) <= n:
             raise ValueError(f"dataset length {len(dataset)} <= encoder lag {n}")
         u = self.norm.norm_u(dataset.u)
-        y = self.norm.norm_y(dataset.y)
-        x = self.initial_state(u, y, init=init)[None]
-        y_hat, _ = self.rollout_batch(
-            x,
-            u[None, n:],
-            y[None, n:] if mode == "teacher-forced" else None,
-            teacher_forced=(mode == "teacher-forced"),
-        )
+        if init == "zero":
+            x = np.zeros((1, self.n_x))
+        else:
+            y = self.norm.norm_y(dataset.y)
+            x = self.encode(*_enc_windows(u, y, [n], self.n_a, self.n_b))
+        y_hat, _ = self.rollout_batch(x, u[None, n:])
         y_sim = np.full((len(dataset), self.n_y), np.nan)
         y_sim[n:] = self.norm.denorm_y(y_hat[0])
         return SimResult(y_sim=y_sim, skip=n)
 
-    def kstep_predictions(self, dataset, k_max, init="encoder"):
-        """Teacher-forced k-step predictions for every valid start.
+    def kstep_predictions(self, dataset, k_max):
+        """Teacher-forced k-step predictions from the encoder at every valid start.
 
         Returns (t_indices, preds) with preds[i, k] the prediction of
         y[t_indices[i] + k] made from data up to t_indices[i] (original units).
+        At the full depth `k_max = len(dataset) - lag - 1` the one start is
+        `lag`, and preds[0] is the whole-record teacher-forced prediction.
 
         The work runs over row blocks that start at multiples of
         `KSTEP_BLOCK` rows, and a last block shorter than that joins the
@@ -399,16 +390,10 @@ class SubnetModel:
         y_hat = np.empty((b, k_max + 1, self.n_y))
         error = None
         for lo, hi in zip(starts, starts[1:] + [b]):
-            if init == "zero":
-                x0 = np.zeros((hi - lo, self.n_x))
-            else:
-                x0 = self.encode(*_enc_windows(u, y, t_idx[lo:hi], self.n_a, self.n_b))
+            x0 = self.encode(*_enc_windows(u, y, t_idx[lo:hi], self.n_a, self.n_b))
             try:
                 y_hat[lo:hi] = self.rollout_batch(
-                    x0,
-                    u_roll[lo:hi],
-                    None if y_roll is None else y_roll[lo:hi],
-                    teacher_forced=y_roll is not None,
+                    x0, u_roll[lo:hi], None if y_roll is None else y_roll[lo:hi]
                 )[0]
             except NumericError as exc:
                 if error is None or exc.index < error.index:

@@ -27,6 +27,11 @@ from .model import Normalization, build_model
 
 VAL_METRICS = ("sim-nrms", "encoder-loss")
 
+# Adam's moment decay rates and denominator offset, at their usual values
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class DegenerateChannelError(ValueError):
     """A channel of the training data is constant or too large to normalize."""
@@ -59,9 +64,6 @@ def fit_normalization(dataset) -> Normalization:
 @dataclass
 class AdamState:
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -84,12 +86,12 @@ def adam_step(state: AdamState, params: dict, grads: dict):
             state.v[name] = np.zeros_like(p)
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - state.beta1) * (g - m)
-        v += (1.0 - state.beta2) * (g * g - v)
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
         with np.errstate(over="ignore", invalid="ignore"):
-            update = state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            update = state.lr * m_hat / (np.sqrt(v_hat) + EPS)
         if not np.all(np.isfinite(update)):
             # from a huge or non-finite learning rate; raising before the
             # update keeps every parameter finite

@@ -43,6 +43,13 @@ def linear_toy_model(noise="output-error", a=0.5, b_u=1.0, c_e=0.1, gain=None,
     )
 
 
+def _roll_windows(u, y, starts, horizon):
+    """The rollout windows of `starts`, gathered by index: the reference for
+    the loss's window views."""
+    idx = np.asarray(starts)[:, None] + np.arange(horizon)
+    return u[idx], y[idx]
+
+
 def simulate_linear_toy(u, a=0.5, b_u=1.0, x0=0.0):
     """Reference rollout of the toy system, y_k = x_k."""
     u = np.asarray(u, dtype=np.float64).reshape(-1)

@@ -40,7 +40,7 @@ def check(num, name, ok, detail):
 
 
 def free_run_nrms(model, dataset):
-    sim = model.simulate(dataset, mode="free-run")
+    sim = model.simulate(dataset)
     return nrms(dataset.y[sim.skip :], sim.y_sim[sim.skip :])
 
 
@@ -102,21 +102,17 @@ def test_criterion_1_gradient_correctness():
 def test_criterion_2_rollout_oracles():
     oe = linear_toy_model()
     y_oe, _ = oe.rollout_batch(
-        np.zeros((1, 1)), np.array([1.0, 0.0, 0.0]).reshape(1, 3, 1),
-        teacher_forced=False,
+        np.zeros((1, 1)), np.array([1.0, 0.0, 0.0]).reshape(1, 3, 1)
     )
     err_oe = np.max(np.abs(y_oe[0, :, 0] - [0.0, 1.0, 0.5]))
 
     gi = linear_toy_model(noise="general-innovation", c_e=0.1)
     y_gi, _ = gi.rollout_batch(
-        np.zeros((1, 1)), np.zeros((1, 3, 1)), np.ones((1, 3, 1)),
-        teacher_forced=True,
+        np.zeros((1, 1)), np.zeros((1, 3, 1)), np.ones((1, 3, 1))
     )
     err_gi = np.max(np.abs(y_gi[0, :, 0] - [0.0, 0.1, 0.14]))
 
-    y_t1, _ = oe.rollout_batch(
-        np.array([[0.3]]), np.ones((1, 1, 1)), teacher_forced=False
-    )
+    y_t1, _ = oe.rollout_batch(np.array([[0.3]]), np.ones((1, 1, 1)))
     err_t1 = abs(y_t1[0, 0, 0] - 0.3)
 
     worst = max(err_oe, err_gi, err_t1)
@@ -175,7 +171,7 @@ def test_criterion_4_method_ordering(encoder_overlap_runs):
         train_ds, val_ds, test_ds = benchmark_splits(seed=seed)
         config = TrainConfig(seed=seed, budget_s=BUDGET_25MIN)
         model, report = run_variant("parameter-init-OE", config, train_ds, val_ds)
-        sim = model.simulate(test_ds, mode="free-run", init="zero")
+        sim = model.simulate(test_ds, init="zero")
         oe_vals.append(nrms(test_ds.y[sim.skip :], sim.y_sim[sim.skip :]))
         print(f"  parameter-init-OE seed {seed}: test NRMS "
               f"{100 * oe_vals[-1]:.2f}% ({report.epochs_run} epochs)")

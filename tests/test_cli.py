@@ -484,6 +484,25 @@ def test_partial_split_names_missing_length(tmp_path, capsys):
     assert not (tmp_path / "run" / "train.csv").exists()
 
 
+def test_dropped_samples_are_a_plain_note(tmp_path, capsys):
+    # the library's UserWarning reaches the user as one note line, with no
+    # warning category and no source path or code line
+    save_csv(generate_sim_system(SimSystemConfig(n_samples=300, seed=0)), tmp_path / "full.csv")
+    cfg = write_config(tmp_path, {
+        "data": {"csv": str(tmp_path / "full.csv"),
+                 "split": {"train_len": 150, "val_len": 80, "test_len": 50}},
+        "model": dict(MODEL_CFG),
+        "train": dict(TRAIN_CFG),
+        "out": str(tmp_path / "run"),
+    })
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["--config", cfg, "train"]) == 0
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["note: dropping 20 trailing samples"]
+
+
 def test_analyze_lists_of_unequal_length_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "analyze": {"horizons": [2, 3], "record_lengths": [20], "n_trials": 3,

@@ -6,14 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import linear_toy_model, simulate_linear_toy
+from conftest import _roll_windows, linear_toy_model, simulate_linear_toy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subnet.model
 from subnet.autodiff import NumericError
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
-from subnet.loss import _CHUNK, _enc_windows, _roll_windows
+from subnet.loss import _CHUNK, _enc_windows
 from subnet.model import (
     NOISE_STRUCTURES,
     CheckpointError,
@@ -35,14 +35,14 @@ def test_encoder_input_length():
 def test_zero_weight_encoder_gives_zero_state():
     model = linear_toy_model()
     rng = np.random.default_rng(0)
-    x0 = model.encode(rng.normal(size=(1, 1)), rng.normal(size=(2, 1)))
-    assert np.array_equal(x0, np.zeros(1))
+    x0 = model.encode(rng.normal(size=(1, 1, 1)), rng.normal(size=(1, 2, 1)))
+    assert np.array_equal(x0, np.zeros((1, 1)))
 
 
 def test_oe_toy_rollout_oracle():
     model = linear_toy_model()
     u = np.array([1.0, 0.0, 0.0]).reshape(1, 3, 1)
-    y_hat, e_hat = model.rollout_batch(np.zeros((1, 1)), u, teacher_forced=False)
+    y_hat, e_hat = model.rollout_batch(np.zeros((1, 1)), u)
     assert np.allclose(y_hat[0, :, 0], [0.0, 1.0, 0.5], rtol=0, atol=1e-12)
     assert np.array_equal(e_hat, np.zeros_like(e_hat))
 
@@ -51,16 +51,14 @@ def test_general_innovation_toy_rollout_oracle():
     model = linear_toy_model(noise="general-innovation", c_e=0.1)
     u = np.zeros((1, 3, 1))
     y = np.ones((1, 3, 1))
-    y_hat, e_hat = model.rollout_batch(np.zeros((1, 1)), u, y, teacher_forced=True)
+    y_hat, e_hat = model.rollout_batch(np.zeros((1, 1)), u, y)
     assert np.allclose(y_hat[0, :, 0], [0.0, 0.1, 0.14], rtol=0, atol=1e-12)
     assert np.allclose(e_hat[0, :, 0], [1.0, 0.9, 0.86], rtol=0, atol=1e-12)
 
 
 def test_degenerate_horizon_one():
     model = linear_toy_model()
-    y_hat, _ = model.rollout_batch(
-        np.array([[0.3]]), np.ones((1, 1, 1)), teacher_forced=False
-    )
+    y_hat, _ = model.rollout_batch(np.array([[0.3]]), np.ones((1, 1, 1)))
     assert y_hat[0, 0, 0] == pytest.approx(0.3, abs=1e-12)
 
 
@@ -115,11 +113,15 @@ def test_encode_locality():
     u = rng.normal(size=(30, 1))
     y = rng.normal(size=(30, 1))
     n = model.lag
-    x0 = model.initial_state(u, y)
+
+    def state(u, y):
+        return model.encode(*_enc_windows(u, y, [n], model.n_a, model.n_b))
+
+    x0 = state(u, y)
     u2, y2 = u.copy(), y.copy()
     u2[n + 1 :] += 100.0
     y2[n + 1 :] -= 100.0
-    assert np.array_equal(x0, model.initial_state(u2, y2))
+    assert np.array_equal(x0, state(u2, y2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,7 +185,7 @@ def test_simulate_free_run_matches_reference():
     u = rng.uniform(-1, 1, size=200)
     y = simulate_linear_toy(u)
     ds = IoDataset(u, y)
-    sim = model.simulate(ds, mode="free-run")
+    sim = model.simulate(ds)
     assert sim.skip == 1
     assert np.all(np.isnan(sim.y_sim[:1]))
     assert np.allclose(sim.y_sim[1:, 0], y[1:], rtol=0, atol=1e-10)
@@ -196,13 +198,48 @@ def test_simulate_channel_mismatch_message():
         model.simulate(ds)
 
 
+@pytest.mark.parametrize("noise", NOISE_STRUCTURES)
+def test_full_depth_kstep_is_the_whole_record_teacher_forced_rollout(noise):
+    # the full-depth k-step prediction has one start, at lag, and is the
+    # teacher-forced rollout over the whole normalized record, denormalized;
+    # under output-error it is also the free-run simulation
+    model = build_model(3, 1, 1, 3, 2, noise=noise, hidden_layers=1, hidden_width=6,
+                        seed=5, norm=Normalization([0.1], [2.0], [-0.4], [0.5]))
+    rng = np.random.default_rng(6)
+    if noise == "linear-innovation":
+        model.noise.gain[:] = rng.normal(0, 0.3, size=(3, 1))
+    if noise == "general-innovation":
+        model.f_params.view("w0")[:, -1] = rng.normal(0, 0.3, size=6)
+    ds = generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=300, seed=7))
+    n = model.lag
+    t_idx, preds = model.kstep_predictions(ds, len(ds) - n - 1)
+    assert t_idx.tolist() == [n]
+
+    u = model.norm.norm_u(ds.u)
+    y = model.norm.norm_y(ds.y)
+    x0 = model.encode(*_enc_windows(u, y, [n], model.n_a, model.n_b))
+    y_hat, e_hat = model.rollout_batch(x0, u[None, n:], y[None, n:])
+    assert e_hat.any()
+    assert np.array_equal(preds, model.norm.denorm_y(y_hat))
+    sim = model.simulate(ds)
+    assert np.array_equal(preds[0], sim.y_sim[n:]) == (noise == "output-error")
+
+
+def test_encode_rejects_an_unbatched_window():
+    model = build_model(2, 1, 1, 3, 4, hidden_layers=1, hidden_width=6, seed=7)
+    with pytest.raises(ValueError, match=r"must be \(B, n_b=4, n_u=1\), got \(4, 1\)"):
+        model.encode(np.zeros((4, 1)), np.zeros((4, 1)))
+    with pytest.raises(ValueError, match=r"must be \(B, n_a\+1=4, n_y=1\), got \(4, 1\)"):
+        model.encode(np.zeros((1, 4, 1)), np.zeros((4, 1)))
+
+
 def test_kstep_zero_column_equals_encoder_output_map():
     model = build_model(2, 1, 1, 3, 3, hidden_layers=1, hidden_width=6, seed=2)
     rng = np.random.default_rng(4)
     ds = IoDataset(rng.normal(size=(40, 1)), rng.normal(size=(40, 1)))
     t_idx, preds = model.kstep_predictions(ds, k_max=0)
     for i, t in enumerate(t_idx[:5]):
-        x0 = model.encode(ds.u[t - 3 : t], ds.y[t - 3 : t + 1])
+        x0 = model.encode(ds.u[None, t - 3 : t], ds.y[None, t - 3 : t + 1])
         expect = mlp_forward(model.h_spec, model.h_params, x0)
         assert np.allclose(preds[i, 0], expect, rtol=0, atol=1e-14)
 
@@ -357,7 +394,7 @@ def test_rollout_numeric_error_carries_step():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError, match="non-finite prediction at step 3") as err:
-            model.rollout_batch(np.zeros((2, 1)), u, teacher_forced=False)
+            model.rollout_batch(np.zeros((2, 1)), u)
     assert err.value.index == 3
 
 
@@ -387,7 +424,7 @@ def test_rollout_in_place_buffers(noise, b):
     y_plain, e_plain = model.rollout_batch(x0, u, y)
     assert np.array_equal(x0, x0_before)
     assert np.array_equal(y_hat, y_plain) and np.array_equal(e_hat, e_plain)
-    free_y, free_e = model.rollout_batch(x0, u, teacher_forced=False)
+    free_y, free_e = model.rollout_batch(x0, u)
     assert np.array_equal(x0, x0_before) and not free_e.any()
 
     for teacher_forced, got in ((True, y_hat), (False, free_y)):
@@ -429,7 +466,7 @@ def test_rollout_runs_h_per_chunk_unless_it_feeds_back(monkeypatch, noise, teach
     rng = np.random.default_rng(4)
     u = rng.normal(size=(1, horizon, 1))
     y = rng.normal(size=(1, horizon, 1))
-    model.rollout_batch(np.zeros((1, 2)), u, y, teacher_forced=teacher_forced)
+    model.rollout_batch(np.zeros((1, 2)), u, y if teacher_forced else None)
     h_calls = sum(spec is model.h_spec for spec in calls)
     assert len(calls) - h_calls == horizon - 1
     if teacher_forced and noise != "output-error":

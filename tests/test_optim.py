@@ -123,7 +123,7 @@ def test_best_snapshot_correctness():
     model, report = train(config, train_ds, val_ds)
     from subnet.analysis import nrms
 
-    sim = model.simulate(val_ds, mode="free-run")
+    sim = model.simulate(val_ds)
     val = nrms(val_ds.y[sim.skip:], sim.y_sim[sim.skip:])
     assert val == pytest.approx(min(report.val_metric), rel=1e-10)
     assert report.best_epoch == int(np.argmin(report.val_metric))
