@@ -43,7 +43,7 @@ def linear_toy_model(noise="output-error", a=0.5, b_u=1.0, c_e=0.1, gain=None,
     )
 
 
-def _roll_windows(u, y, starts, horizon):
+def roll_windows(u, y, starts, horizon):
     """The rollout windows of `starts`, gathered by index: the reference for
     the loss's window views."""
     idx = np.asarray(starts)[:, None] + np.arange(horizon)

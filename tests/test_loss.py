@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import _roll_windows, linear_toy_model, simulate_linear_toy
+from conftest import linear_toy_model, roll_windows, simulate_linear_toy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -76,7 +76,7 @@ def _reference_loss(model, u, y, starts, horizon, positions=None, states=None):
     """(loss, grads) through the per-step graph: encoder initial states, or
     rows `positions` of the trainable bank `states` when it is given."""
     starts = np.asarray(starts)
-    u_roll, y_roll = _roll_windows(u, y, starts, horizon)
+    u_roll, y_roll = roll_windows(u, y, starts, horizon)
     tape = ReferenceTape()
     leaves = _reference_leaves(tape, model, states is None)
     x0_node = _reference_x0(tape, model, u, y, starts, leaves, positions, states)
@@ -94,7 +94,7 @@ def _reference_source_loss(model, u, y, starts, horizon, positions=None, states=
     front of the package's hand-derived rollout node, which takes f, h (and
     K) as flat leaves."""
     starts = np.asarray(starts)
-    u_roll, y_roll = _roll_windows(u, y, starts, horizon)
+    u_roll, y_roll = roll_windows(u, y, starts, horizon)
     tape = ReferenceTape()
     blocks = model.param_blocks()
     if states is not None:

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import _roll_windows, linear_toy_model, simulate_linear_toy
+from conftest import linear_toy_model, roll_windows, simulate_linear_toy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -255,7 +255,7 @@ def _one_rollout(model, ds, t_idx, k_max):
     u = model.norm.norm_u(ds.u)
     y = model.norm.norm_y(ds.y)
     x0 = model.encode(*_enc_windows(u, y, t_idx, model.n_a, model.n_b))
-    y_hat, _ = model.rollout_batch(x0, *_roll_windows(u, y, t_idx, k_max + 1))
+    y_hat, _ = model.rollout_batch(x0, *roll_windows(u, y, t_idx, k_max + 1))
     return model.norm.denorm_y(y_hat)
 
 
