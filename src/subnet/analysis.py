@@ -62,29 +62,37 @@ class KStepProfile:
     t_idx: np.ndarray  # start times the predictions were made from
     predictions: np.ndarray  # (len(t_idx), k_max+1, n_y), original units
 
-    def __len__(self):
-        return len(self.values)
-
 
 def kstep_nrms(model, dataset, k_max):
     """k-step prediction NRMS profile averaged over all valid start times.
 
     The measured outputs are read through a window view of `dataset.y`
-    (row i, step k is y[t_idx[i] + k]), so the only array beside the
-    predictions is one error buffer of their shape.
+    (row i, step k is y[t_idx[i] + k]). The squared errors are summed over
+    blocks of `KSTEP_BLOCK` rows in row order, with the sum so far as row 0
+    of each block's reduction, so the only array beside the predictions is
+    one block of errors.
     """
+    from .model import KSTEP_BLOCK
+
     t_idx, preds = model.kstep_predictions(dataset, k_max)
     y_true = _windows(dataset.y, k_max + 1)[t_idx[0] :]  # (num_t, k_max+1, n_y)
     sigma = dataset.y[model.lag :].std(axis=0)
     if np.any(sigma < 1e-12):
         raise DegenerateSignalError("measured signal std is (near) zero")
+    rows = len(t_idx)
+    # numpy reduces axis 0 row by row, so the carried sum keeps the bits of
+    # one sum over all rows; a single column (k_max 0, n_y 1) it sums
+    # pairwise, so that is reduced as one block
+    block = KSTEP_BLOCK if preds[0].size > 1 else rows
+    err = np.empty((min(block, rows) + 1,) + preds.shape[1:])
     with np.errstate(over="ignore"):  # an overflow gives inf, as in `nrms`
-        err = np.subtract(preds, y_true)
-        np.square(err, out=err)
-        # one mean over the whole buffer: numpy sums axis 0 pairwise when it
-        # is contiguous (k_max 0, n_y 1), so a sum carried over blocks of
-        # rows would change the last bits
-        mse = np.mean(err, axis=0)  # (k_max+1, n_y)
+        for lo in range(0, rows, block):
+            hi = min(lo + block, rows)
+            sq = err[1 : hi - lo + 1]
+            np.subtract(preds[lo:hi], y_true[lo:hi], out=sq)
+            np.square(sq, out=sq)
+            err[0] = np.add.reduce(err[: hi - lo + 1] if lo else sq, axis=0)
+        mse = err[0] / rows  # (k_max+1, n_y)
         per_channel = np.sqrt(mse) / sigma
         values = np.sqrt(np.mean(per_channel**2, axis=1))
     return KStepProfile(values, t_idx, preds)

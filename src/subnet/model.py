@@ -225,20 +225,24 @@ class SubnetModel:
         shared by every cached call: they stay valid only until the next
         call with a cache, so read them before making one. A gradient
         overwrites them too: under output-error it forms h's deltas over
-        "h_acts" and then f's deltas in the same buffers. Without a cache
-        the states still go into a (T, B, n_x) buffer, and f's input and
-        each hidden layer reuse one buffer each.
+        "h_acts" and then f's deltas in the same buffers.
 
         Each step writes f's output straight into the next state's buffer
-        (`mlp_forward`'s `out`) and builds f's input in place. Only a
-        teacher-forced innovation (linear or general) feeds h's output into
-        the next state; then h runs inside the loop and writes `y_hat[:, k]`
-        at every step. Otherwise the loop runs f alone, and h runs after it
-        over chunks of `max(1, loss._CHUNK // B)` whole steps stacked as
-        (steps, B, n). Each of its 3-D matmuls makes one BLAS call per
-        (B, n) step, the same call a per-step forward makes, so the outputs
-        keep their bits; a 2-D (steps*B, n) product would not. The
-        output-error innovation is then formed once, after h.
+        (`mlp_forward`'s `out`) and builds f's input in place. h runs on
+        each chunk of steps as soon as the chunk's last state exists, and
+        writes the chunk's `y_hat` and innovations. A chunk is one step
+        when a teacher-forced innovation (linear or general) feeds h's
+        output into the next state, and otherwise `max(1, loss._CHUNK // B)`
+        whole steps stacked as (steps, B, n). Each of h's 3-D matmuls makes
+        one BLAS call per (B, n) step, the same call a per-step forward
+        makes, so the outputs keep their bits; a 2-D (steps*B, n) product
+        would not.
+
+        Without a cache the rollout keeps only what the next chunk needs:
+        the states go into a ring of one chunk of (B, n_x) buffers, f's
+        input is one buffer, and each hidden layer has one buffer that f's
+        step and h's chunk use in turn. A free run returns `e_hat` as a
+        read-only broadcast of zeros.
 
         The loop runs to the end with overflow and invalid-value warnings
         silenced; afterwards one scan of y_hat raises `NumericError` at the
@@ -247,29 +251,36 @@ class SubnetModel:
         """
         b, horizon = u_roll.shape[:2]
         y_hat = np.empty((b, horizon, self.n_y))
+        y_steps = y_hat.transpose(1, 0, 2)
         tag = self.noise.tag
         teacher_forced = y_roll is not None
-        step_innovation = teacher_forced and tag != "output-error"
-        e_hat = (np.empty if teacher_forced else np.zeros)((b, horizon, self.n_y))
-        # steps per h call after the loop
-        step = max(1, _CHUNK // b)
-        if cache is None:
-            # one buffer per role, reused at every step (h's at every chunk)
-            h_rows = (b,) if step_innovation else (min(step, horizon), b)
-            h_acts = [
-                np.empty(h_rows + (self.h_spec.hidden_width,))
-                for _ in range(self.h_spec.hidden_layers)
-            ]
-            f_acts = [
-                np.empty((b, self.f_spec.hidden_width))
-                for _ in range(self.f_spec.hidden_layers)
-            ]
-            z = np.empty((b, self.f_spec.in_dim))
-            xs = np.empty((horizon, b, self.n_x))
+        if teacher_forced:
+            e_hat = np.empty((b, horizon, self.n_y))
         else:
+            e_hat = np.broadcast_to(0.0, (b, horizon, self.n_y))
+        step = 1 if teacher_forced and tag != "output-error" else max(1, _CHUNK // b)
+        if cache is None:
+            # a ring of one chunk of states: a chunk starts at a multiple of
+            # `step`, so its states are a prefix of the ring
+            ring = min(step, horizon)
+            xs = np.empty((ring, b, self.n_x))
+            z = np.empty((b, self.f_spec.in_dim))
+            # one buffer per hidden layer, which f's step and h's chunk use
+            # in turn
+            f_shape = (b, self.f_spec.hidden_width)
+            h_shape = (ring, b, self.h_spec.hidden_width)
+            f_size, h_size = int(np.prod(f_shape)), int(np.prod(h_shape))
+            f_layers, h_layers = self.f_spec.hidden_layers, self.h_spec.hidden_layers
+            hidden = [
+                np.empty(max(f_size, h_size)) for _ in range(max(f_layers, h_layers))
+            ]
+            f_acts = [a[:f_size].reshape(f_shape) for a in hidden[:f_layers]]
+            h_acts = [a[:h_size].reshape(h_shape) for a in hidden[:h_layers]]
+        else:
+            ring = horizon  # every state is kept for the adjoint
             xs = cache["x"] = _take("x", (horizon, b, self.n_x))
             cache["f_in"] = _take("f_in", (horizon - 1, b, self.f_spec.in_dim))
-            cache["h_acts"] = [
+            h_acts = cache["h_acts"] = [
                 _take(f"h_acts{i}", (horizon, b, self.h_spec.hidden_width))
                 for i in range(self.h_spec.hidden_layers)
             ]
@@ -277,38 +288,36 @@ class SubnetModel:
                 _take(f"f_acts{i}", (horizon - 1, b, self.f_spec.hidden_width))
                 for i in range(self.f_spec.hidden_layers)
             ]
-        xs[0] = x0
-        x = xs[0]
+        xs[0] = x0  # state k sits at xs[k % ring]
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(horizon):
-                if step_innovation:
-                    if cache is not None:
-                        h_acts = [a[k] for a in cache["h_acts"]]
-                    yk = mlp_forward(self.h_spec, self.h_params, x, h_acts, y_hat[:, k])
-                    np.subtract(y_roll[:, k], yk, out=e_hat[:, k])
+                if (k + 1) % step == 0 or k + 1 == horizon:
+                    # the chunk of steps lo..k is complete: run h over it
+                    lo = k - k % step
+                    c = slice(lo % ring, lo % ring + k + 1 - lo)
+                    mlp_forward(
+                        self.h_spec, self.h_params, xs[c], [a[c] for a in h_acts],
+                        y_steps[lo : k + 1],
+                    )
+                    if teacher_forced:
+                        np.subtract(
+                            y_roll[:, lo : k + 1], y_hat[:, lo : k + 1],
+                            out=e_hat[:, lo : k + 1],
+                        )
                 if k + 1 == horizon:
                     break
                 if cache is not None:
                     z = cache["f_in"][k]
                     f_acts = [a[k] for a in cache["f_acts"]]
+                x = xs[k % ring]
                 if tag == "general-innovation":
                     np.concatenate([x, u_roll[:, k], e_hat[:, k]], axis=1, out=z)
                 else:
                     np.concatenate([x, u_roll[:, k]], axis=1, out=z)
-                x = mlp_forward(self.f_spec, self.f_params, z, f_acts, xs[k + 1])
+                x = xs[(k + 1) % ring]
+                mlp_forward(self.f_spec, self.f_params, z, f_acts, x)
                 if tag == "linear-innovation":
                     x += e_hat[:, k] @ self.noise.gain.T
-            if not step_innovation:
-                y_steps = y_hat.transpose(1, 0, 2)
-                for lo in range(0, horizon, step):
-                    hi = min(lo + step, horizon)
-                    if cache is None:
-                        acts = [a[: hi - lo] for a in h_acts]
-                    else:
-                        acts = [a[lo:hi] for a in cache["h_acts"]]
-                    mlp_forward(self.h_spec, self.h_params, xs[lo:hi], acts, y_steps[lo:hi])
-                if teacher_forced:
-                    np.subtract(y_roll, y_hat, out=e_hat)
         finite = np.isfinite(y_hat).all(axis=(0, 2))
         if not finite.all():
             k = int(np.argmin(finite))
@@ -327,11 +336,14 @@ class SubnetModel:
     def simulate(self, dataset, init="encoder"):
         """Free-run simulation of the full record; output in original units.
 
-        The state at t = `lag` comes from the encoder, or is zero when
-        `init="zero"`. The first `lag` samples are returned as NaN and must be
-        excluded from any error metric. The whole-record teacher-forced
-        prediction is the full-depth `kstep_predictions`.
+        The state at t = `lag` comes from the encoder (`init="encoder"`), or
+        is zero (`init="zero"`); any other `init` raises `ValueError`. The
+        first `lag` samples are returned as NaN and must be excluded from any
+        error metric. The whole-record teacher-forced prediction is the
+        full-depth `kstep_predictions`.
         """
+        if init not in ("encoder", "zero"):
+            raise ValueError(f"init must be 'encoder' or 'zero', got {init!r}")
         self._check_channels(dataset)
         n = self.lag
         if len(dataset) <= n:

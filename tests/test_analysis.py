@@ -14,9 +14,10 @@ from subnet.analysis import (
     nrms,
     overlap_variance_mc,
 )
-from subnet.data import IoDataset
+from subnet.data import IoDataset, benchmark_splits
 from subnet.loss import encoder_loss, valid_starts
 from subnet.model import build_model
+from subnet.optim import TrainConfig, fit_normalization
 
 
 def test_nrms_trivial_values():
@@ -62,7 +63,7 @@ def test_kstep_perfect_model_all_zero():
     u = rng.uniform(-1, 1, size=150)
     ds = IoDataset(u, simulate_linear_toy(u))
     profile = kstep_nrms(model, ds, k_max=6)
-    assert len(profile) == 7
+    assert len(profile.values) == 7
     assert np.allclose(profile.values, 0.0, atol=1e-10)
 
 
@@ -82,13 +83,18 @@ def test_kstep_matches_encoder_loss_for_oe():
 
 
 @pytest.mark.parametrize("n_y", [1, 2])
-@pytest.mark.parametrize("k_max", [0, 3])
-def test_kstep_nrms_bits_match_gathered_formula(n_y, k_max):
-    # the window view and the one error buffer give the bits of the gathered
-    # formula; 3000 samples span three rollout blocks, and at k_max 0 with
-    # n_y 1 numpy sums the contiguous axis 0 pairwise
+@pytest.mark.parametrize(
+    "k_max,n",
+    [(0, 3000), (3, 3000), (40, 3000), (0, 2600), (40, 2600)],
+    ids=["0", "3", "40", "0-n2600", "40-n2600"],
+)
+def test_kstep_nrms_bits_match_gathered_formula(n_y, k_max, n):
+    # the window view and the squared-error sum carried over 1024-row blocks
+    # give the bits of the gathered formula over one whole error buffer. At
+    # 2600 samples the 2596 starts of k_max 0 end in a 1572-row rollout
+    # block and a 548-row error block; at k_max 0 with n_y 1 numpy sums the
+    # contiguous axis 0 pairwise
     rng = np.random.default_rng(n_y + 10 * k_max)
-    n = 3000
     u = rng.normal(size=(n, 1))
     y = np.stack(
         [np.convolve(u[:, 0], [0.5, 0.3, 0.2 * c])[:n] for c in range(n_y)], axis=1
@@ -119,6 +125,25 @@ def test_kstep_nrms_memory_is_one_block_beside_the_predictions():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20
+
+
+def test_kstep_nrms_memory_at_k_max_40():
+    # the eval command's k-step on the benchmark's test split: 9950 starts
+    # of 41 steps make 3.1 MiB of predictions. Beside them stand one
+    # 1024-row block of errors and the rollout's last, 1758-row block,
+    # whose states and hidden buffers are one step deep. A whole error
+    # buffer and every state of that block took a 10.3 MiB peak
+    train, _, test = benchmark_splits(3)
+    cfg = TrainConfig()
+    model = build_model(cfg.n_x, train.n_u, train.n_y, cfg.n_a, cfg.n_b,
+                        seed=cfg.seed, norm=fit_normalization(train))
+    tracemalloc.start()
+    try:
+        kstep_nrms(model, test, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20
 
 
 def test_g_of_d_hand_value():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subnet.model
+from subnet.analysis import free_run_nrms
 from subnet.autodiff import NumericError
 from subnet.data import IoDataset, SimSystemConfig, generate_sim_system
 from subnet.loss import _CHUNK, _enc_windows
@@ -189,6 +191,18 @@ def test_simulate_free_run_matches_reference():
     assert sim.skip == 1
     assert np.all(np.isnan(sim.y_sim[:1]))
     assert np.allclose(sim.y_sim[1:, 0], y[1:], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("init", ["zeros", "bank", None])
+def test_simulate_rejects_an_unknown_init(init):
+    # a misspelt init used to pick the encoder without a word
+    model = linear_toy_model()
+    rng = np.random.default_rng(3)
+    ds = IoDataset(rng.normal(size=30), rng.normal(size=30))
+    with pytest.raises(ValueError, match="'encoder' or 'zero'"):
+        model.simulate(ds, init=init)
+    with pytest.raises(ValueError, match="'encoder' or 'zero'"):
+        free_run_nrms(model, ds, init)
 
 
 def test_simulate_channel_mismatch_message():
@@ -399,8 +413,8 @@ def test_rollout_numeric_error_carries_step():
 
 
 @pytest.mark.parametrize("noise", NOISE_STRUCTURES)
-# at B=50, h runs after the loop over chunks of _CHUNK // 50 = 5 steps, so
-# the 6 steps end in a 1-step chunk
+# at B=50, h runs over chunks of _CHUNK // 50 = 5 steps, so without a cache
+# the states wrap round a ring of 5 and the 6 steps end in a 1-step chunk
 @pytest.mark.parametrize("b", [1, 7, 50])
 def test_rollout_in_place_buffers(noise, b):
     # the rollout writes h into y_hat, f into the next state's buffer and f's
@@ -451,8 +465,10 @@ def test_rollout_in_place_buffers(noise, b):
 @pytest.mark.parametrize("noise", NOISE_STRUCTURES)
 @pytest.mark.parametrize("teacher_forced", [False, True])
 def test_rollout_runs_h_per_chunk_unless_it_feeds_back(monkeypatch, noise, teacher_forced):
-    # at B=1, h runs once per chunk of _CHUNK steps after the state loop,
-    # unless a teacher-forced innovation feeds its output into the next state
+    # at B=1, h runs once per chunk of _CHUNK steps, unless a teacher-forced
+    # innovation feeds its output into the next state: then once per step.
+    # Either way it runs as soon as the chunk's last state exists, so the
+    # call for the chunk that ends at step k follows exactly k calls of f
     model = build_model(2, 1, 1, 2, 2, noise=noise, hidden_layers=1, hidden_width=4,
                         seed=3)
     calls = []
@@ -467,12 +483,35 @@ def test_rollout_runs_h_per_chunk_unless_it_feeds_back(monkeypatch, noise, teach
     u = rng.normal(size=(1, horizon, 1))
     y = rng.normal(size=(1, horizon, 1))
     model.rollout_batch(np.zeros((1, 2)), u, y if teacher_forced else None)
-    h_calls = sum(spec is model.h_spec for spec in calls)
-    assert len(calls) - h_calls == horizon - 1
-    if teacher_forced and noise != "output-error":
-        assert h_calls == horizon
-    else:
-        assert h_calls == -(-horizon // _CHUNK) == 3
+    f_before, f_calls = [], 0
+    for spec in calls:
+        if spec is model.h_spec:
+            f_before.append(f_calls)
+        else:
+            f_calls += 1
+    assert f_calls == horizon - 1
+    step = 1 if teacher_forced and noise != "output-error" else _CHUNK
+    assert f_before == [min(lo + step, horizon) - 1 for lo in range(0, horizon, step)]
+    assert len(f_before) == (horizon if step == 1 else 3)
+
+
+def test_free_run_rollout_memory_is_the_predictions_and_one_chunk():
+    # at B=1024 a chunk is one step: the states, f's input and the two
+    # hidden buffers that f and h share take about 1.1 MiB beside the
+    # 3.1 MiB of predictions. Keeping every state, h's own buffers and an
+    # array of zero innovations took a 21.2 MiB peak
+    model = build_model(4, 1, 1, 10, 10, seed=0)
+    rng = np.random.default_rng(5)
+    x0 = rng.normal(size=(1024, 4))
+    u = rng.normal(size=(1024, 401, 1))
+    tracemalloc.start()
+    try:
+        y_hat, e_hat = model.rollout_batch(x0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not e_hat.flags.writeable and not e_hat.any()
+    assert peak < y_hat.nbytes + 2 * 2**20
 
 
 def test_checkpoint_round_trip(tmp_path):
