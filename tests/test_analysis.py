@@ -92,8 +92,8 @@ def test_kstep_nrms_bits_match_gathered_formula(n_y, k_max, n):
     # the window view and the squared-error sum carried over 1024-row blocks
     # give the bits of the gathered formula over one whole error buffer. At
     # 2600 samples the 2596 starts of k_max 0 end in a 1572-row rollout
-    # block and a 548-row error block; at k_max 0 with n_y 1 numpy sums the
-    # contiguous axis 0 pairwise
+    # block and, at n_y 2, a 548-row error block; at k_max 0 with n_y 1
+    # numpy sums the contiguous axis 0 pairwise, in one block
     rng = np.random.default_rng(n_y + 10 * k_max)
     u = rng.normal(size=(n, 1))
     y = np.stack(
