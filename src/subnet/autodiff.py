@@ -25,11 +25,11 @@ class GraphError(ValueError):
 
 
 class NumericError(RuntimeError):
-    """Raised when a non-finite value is encountered; carries a location."""
+    """Raised on a non-finite value; `index` and a batch `row` locate it."""
 
-    def __init__(self, msg, index=None):
+    def __init__(self, msg, index=None, row=None):
         super().__init__(msg)
-        self.index = index
+        self.index, self.row = index, row
 
 
 class Node:

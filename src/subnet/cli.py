@@ -244,16 +244,19 @@ def cmd_train(args, cfg):
     save_model(model, out / "model.bin")
     write_report_csv(report, out / "report.csv")
     write_timing_csv(report, out / "timing.csv")
-    if report.epochs_run:
+    if not report.epochs_run:
+        print("no epochs run; wrote initialized model")
+    elif report.best_epoch < 0:
+        print("no epoch had a finite validation metric; wrote initialized model")
+    else:
         print(
             f"best epoch {report.best_epoch}: "
             f"validation metric {report.val_metric[report.best_epoch]:.6g}"
         )
-    else:
-        print("no epochs run; wrote initialized model")
     print(f"wrote {out / 'model.bin'}")
     if report.diverged:
-        print("training diverged; best checkpoint kept", file=sys.stderr)
+        print(f"training diverged: {report.diverged}; best checkpoint kept",
+              file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -363,6 +366,7 @@ def cmd_compare(args, cfg):
     if "budget_s" in compare_cfg:
         config.budget_s = compare_cfg["budget_s"]
     results = {}
+    diverged = {}
     for variant in variants:
         model, report = baselines.run_variant(
             variant, config, datasets["train"], datasets["val"]
@@ -371,10 +375,14 @@ def cmd_compare(args, cfg):
         write_report_csv(report, out / f"curve_{variant}.csv")
         write_timing_csv(report, out / f"timing_{variant}.csv")
         print(f"{variant}: test NRMS {100 * results[variant]:.3f}%")
+        if report.diverged:
+            diverged[variant] = report.diverged
     rows = baselines.compare_report(results)
     baselines.write_compare_csv(rows, out / "compare.csv")
     print(f"wrote {out / 'compare.csv'}")
-    return EXIT_OK
+    for variant, message in diverged.items():
+        print(f"{variant}: training diverged: {message}", file=sys.stderr)
+    return EXIT_NUMERIC if diverged else EXIT_OK
 
 
 def cmd_analyze(args, cfg):

@@ -10,17 +10,19 @@ regardless of batch size.
 
 `encoder_loss` and `trainable_state_loss` are one section loss over two
 sources of initial states: the encoder psi over each section's past
-window, or rows of a trainable bank with one state per section. Each
-gradient is derived by hand. The loss runs its forward pass through
-`SubnetModel.rollout_batch`, the same rollout that `simulate` and
-`kstep_predictions` use, with a cache of the per-step states, f inputs and
-hidden activations; its gradient is a hand-written backpropagation through
-time (the adjoint form of a simulation loss): a reverse-time loop over the
-state adjoint, then one matmul per weight block over all steps. The
-state adjoint of step 0 then passes back through the source: through
-psi's hand backward, or summed into the bank rows with `np.add.at`. The
-tape only chains these nodes: one leaf per trainable block, the source
-node and the rollout node.
+window, or rows of a trainable bank with one state per section. The loss
+runs its forward pass through `SubnetModel.rollout_batch`, the same
+rollout that `simulate` and `kstep_predictions` use, with a cache of the
+per-step states, f inputs and hidden activations; its gradient is a
+hand-written backpropagation through time (the adjoint form of a
+simulation loss): a reverse-time loop over the state adjoint, then one
+matmul per weight block over all steps. The state adjoint of step 0 then
+passes back through the source: through psi's hand backward, or summed
+into the bank rows with `np.add.at`. The tape only chains these nodes:
+one leaf per trainable block, the source node and the rollout node. A
+divergence names the section and step of the batch's earliest non-finite
+prediction (a non-finite initial state's is at step 0), or else squared
+error, lowest row first, from one scan of the batch that diverged.
 
 Every (T, B, .) buffer of that gradient path, the rollout cache and the
 adjoint buffers alike, is a view of one module-level workspace buffer per
@@ -147,24 +149,34 @@ def _rows(a):
     return a.reshape(-1, a.shape[-1])
 
 
-def _rollout_value(model, u_roll, y_roll, x0, starts, cache=None):
-    """The batch rollout loss mean_t v_t from x0 (B, n_x), and e_hat.
+def _first_nonfinite(a):
+    """(step, row) of a (B, T, n) array's earliest non-finite entry, lowest
+    row first, or None."""
+    bad = ~np.isfinite(a).all(axis=2)
+    k = int(np.argmax(bad.any(axis=0)))
+    return (k, int(np.argmax(bad[:, k]))) if bad[:, k].any() else None
 
-    Raises `NumericError` naming the first diverging section of the batch
-    when the rollout or the loss is non-finite.
-    """
+
+def _rollout_value(model, u_roll, y_roll, x0, starts, cache=None):
+    """The batch rollout loss mean_t v_t from x0 (B, n_x), and e_hat; a
+    non-finite prediction or squared error raises a located `NumericError`."""
     try:
         _, e_hat = model.rollout_batch(x0, u_roll, y_roll, cache=cache)
-        # the (B, T*n_y) layout of the per-step errors side by side; the
-        # mean over it times n_y is (1/(B*T)) sum ||err||^2
-        err = e_hat.reshape(len(x0), -1)
+    except NumericError as exc:
+        where = exc.index, exc.row
+    else:
         with np.errstate(over="ignore", invalid="ignore"):
-            value = np.asarray((err * err).mean()) * float(model.n_y)
-        if not np.isfinite(value):
-            raise NumericError("non-finite loss")
-    except NumericError:
-        raise _locate_divergence(model, u_roll, y_roll, x0, starts) from None
-    return value, e_hat
+            sq = e_hat * e_hat
+            # n_y times the mean over B*T*n_y errors is (1/(B*T)) sum ||err||^2
+            value = np.asarray(sq.mean()) * float(model.n_y)
+        if np.isfinite(value):
+            return value, e_hat
+        where = _first_nonfinite(sq)
+    if where is None:  # finite squares whose sum overflows
+        raise NumericError("non-finite loss")
+    k, start = where[0], int(starts[where[1]])
+    raise NumericError(f"numeric divergence in section starting at {start} (step {k})",
+                       index=start)
 
 
 def _rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts):
@@ -270,34 +282,20 @@ def _rollout_loss(tape, model, u_roll, y_roll, x0_node, leaves, starts):
     return tape.custom(parents, value, backward)
 
 
-def _locate_divergence(model, u_roll, y_roll, x0, starts):
-    """The `NumericError` naming the first section whose rollout diverges."""
-    for i, start in enumerate(np.asarray(starts)):
-        try:
-            model.rollout_batch(x0[i : i + 1], u_roll[i : i + 1], y_roll[i : i + 1])
-        except NumericError as exc:
-            return NumericError(
-                f"numeric divergence in section starting at {start} "
-                f"(step {exc.index})",
-                index=int(start),
-            )
-    return NumericError("non-finite loss")
-
-
 def _encoder_states(model, u, y, starts, with_grad):
-    """psi over the encoder windows of `starts`: the (B, n_x) initial states
-    and, when `with_grad`, the backward from their adjoint to psi's flat
-    gradient."""
+    """psi over the encoder windows of `starts`, warnings silenced: the (B, n_x)
+    initial states and, when `with_grad`, the backward from their adjoint to
+    psi's flat gradient."""
     u_enc, y_enc = _enc_windows(u, y, starts, model.n_a, model.n_b)
-    if not with_grad:
-        return model.encode(u_enc, y_enc), None
     b = len(starts)
     spec, psi = model.psi_spec, model.psi_params
     enc_in = np.concatenate([u_enc.reshape(b, -1), y_enc.reshape(b, -1)], axis=1)
-    acts = [
-        _take(f"psi_acts{i}", (b, spec.hidden_width)) for i in range(spec.hidden_layers)
-    ]
-    x0 = mlp_forward(spec, psi, enc_in, acts)
+    acts = [_take(f"psi_acts{i}", (b, spec.hidden_width))
+            for i in range(spec.hidden_layers)] if with_grad else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = mlp_forward(spec, psi, enc_in, acts)
+    if not with_grad:
+        return x0, None
 
     def backward(lam):
         # the rollout's backward is done with the scratch rows by now; psi's

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError
-from .loss import _CHUNK, _enc_windows, _take, _windows
+from .loss import _CHUNK, _enc_windows, _take, _windows, _first_nonfinite
 from .nets import MlpParams, MlpSpec, init_xavier, mlp_forward
 
 NOISE_STRUCTURES = ("output-error", "linear-innovation", "general-innovation")
@@ -247,7 +247,7 @@ class SubnetModel:
         The loop runs to the end with overflow and invalid-value warnings
         silenced; afterwards one scan of y_hat raises `NumericError` at the
         first step k whose prediction is non-finite in any batch row, with
-        `index=k`.
+        `index=k` and `row` the first such row at that step.
         """
         b, horizon = u_roll.shape[:2]
         y_hat = np.empty((b, horizon, self.n_y))
@@ -288,12 +288,13 @@ class SubnetModel:
                 _take(f"f_acts{i}", (horizon - 1, b, self.f_spec.hidden_width))
                 for i in range(self.f_spec.hidden_layers)
             ]
-        xs[0] = x0  # state k sits at xs[k % ring]
+        xs[0] = x0
+        x = xs[0]  # state k sits at xs[k % ring]
+        lo, end = 0, min(step, horizon) - 1  # the current chunk's steps
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(horizon):
-                if (k + 1) % step == 0 or k + 1 == horizon:
+                if k == end:
                     # the chunk of steps lo..k is complete: run h over it
-                    lo = k - k % step
                     c = slice(lo % ring, lo % ring + k + 1 - lo)
                     mlp_forward(
                         self.h_spec, self.h_params, xs[c], [a[c] for a in h_acts],
@@ -304,12 +305,12 @@ class SubnetModel:
                             y_roll[:, lo : k + 1], y_hat[:, lo : k + 1],
                             out=e_hat[:, lo : k + 1],
                         )
+                    lo, end = k + 1, min(k + step, horizon - 1)
                 if k + 1 == horizon:
                     break
                 if cache is not None:
                     z = cache["f_in"][k]
                     f_acts = [a[k] for a in cache["f_acts"]]
-                x = xs[k % ring]
                 if tag == "general-innovation":
                     np.concatenate([x, u_roll[:, k], e_hat[:, k]], axis=1, out=z)
                 else:
@@ -318,10 +319,10 @@ class SubnetModel:
                 mlp_forward(self.f_spec, self.f_params, z, f_acts, x)
                 if tag == "linear-innovation":
                     x += e_hat[:, k] @ self.noise.gain.T
-        finite = np.isfinite(y_hat).all(axis=(0, 2))
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise NumericError(f"non-finite prediction at step {k}", index=k)
+        where = _first_nonfinite(y_hat)
+        if where is not None:
+            k, row = where
+            raise NumericError(f"non-finite prediction at step {k}", index=k, row=row)
         return y_hat, e_hat
 
     # -- evaluation on raw-unit datasets -------------------------------------

@@ -130,7 +130,7 @@ class TrainReport:
     val_metric: list = field(default_factory=list)
     wallclock_s: list = field(default_factory=list)
     best_epoch: int = -1
-    diverged: bool = False
+    diverged: str = ""  # the divergence's message; "" when none
 
     @property
     def epochs_run(self):
@@ -143,7 +143,8 @@ def run_training_loop(blocks, loss_grad_fn, val_fn, index_set, config: TrainConf
     `blocks` is the dict of trainable flat arrays (updated in place);
     `loss_grad_fn(starts) -> (loss, grads)`, `val_fn() -> float` reads the
     current parameter values. Returns (best_blocks, report); on numeric
-    divergence the report is flagged and the best (last good) snapshot wins.
+    divergence the report keeps its message in `diverged` and the best
+    (last good) snapshot wins.
     """
     state = AdamState(lr=config.learning_rate)
     report = TrainReport()
@@ -161,8 +162,8 @@ def run_training_loop(blocks, loss_grad_fn, val_fn, index_set, config: TrainConf
                 adam_step(state, blocks, grads)
                 total += loss * len(starts)
                 count += len(starts)
-        except NumericError:
-            report.diverged = True
+        except NumericError as exc:
+            report.diverged = str(exc)
             break
         try:
             val = float(val_fn())

@@ -1,9 +1,11 @@
-"""Shared helpers: hand-settable toy models with known closed forms, and
-one state update of the synthetic system."""
+"""Shared helpers: hand-settable toy models with known closed forms, a
+per-row reference for where a batch diverges, and one state update of the
+synthetic system."""
 
 import numpy as np
 
 from subnet import data
+from subnet.autodiff import NumericError
 from subnet.model import NoiseStructure, SubnetModel
 from subnet.nets import MlpParams, MlpSpec
 
@@ -48,6 +50,23 @@ def roll_windows(u, y, starts, horizon):
     the loss's window views."""
     idx = np.asarray(starts)[:, None] + np.arange(horizon)
     return u[idx], y[idx]
+
+
+def first_divergence(model, x0, u_roll, y_roll=None):
+    """(step, row) of a batch's earliest non-finite prediction, lowest row
+    first, from one B=1 rollout per row, or None: the reference for the
+    location that the batch's own scan reports."""
+    found = None
+    for i in range(len(x0)):
+        rows = slice(i, i + 1)
+        try:
+            model.rollout_batch(
+                x0[rows], u_roll[rows], None if y_roll is None else y_roll[rows]
+            )
+        except NumericError as exc:
+            if found is None or exc.index < found[0]:
+                found = (exc.index, i)
+    return found
 
 
 def simulate_linear_toy(u, a=0.5, b_u=1.0, x0=0.0):

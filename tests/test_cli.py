@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -169,6 +170,39 @@ def test_train_divergence_exit_code(tmp_path, small_csvs):
                         norm=fit_normalization(train_ds))
     for name, flat in fresh.param_blocks().items():
         assert saved.param_blocks()[name].tobytes() == flat.tobytes()
+
+
+def test_train_divergence_names_section(tmp_path, small_csvs, capsys):
+    cfg = write_config(
+        tmp_path,
+        train_cfg_dict(small_csvs, tmp_path / "run", max_epochs=10, learning_rate=1e200),
+    )
+    assert main(["--config", cfg, "train"]) == 3
+    err = capsys.readouterr().err
+    assert re.fullmatch(
+        r"training diverged: numeric divergence in section starting at \d+ "
+        r"\(step \d+\); best checkpoint kept\n",
+        err,
+    )
+
+
+def test_train_without_finite_validation_says_so(tmp_path, small_csvs, capsys):
+    # the default model of seed 6 free-runs to inf over 1500 validation
+    # samples, and a learning rate of 0 keeps it so in every epoch
+    val = tmp_path / "val_long.csv"
+    save_csv(generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=1500, seed=1)),
+             val)
+    cfg_dict = train_cfg_dict(small_csvs, tmp_path / "run", learning_rate=0.0)
+    cfg_dict["data"]["val_csv"] = str(val)
+    cfg_dict["model"] = {"n_a": 2, "n_b": 2}
+    cfg_dict["seed"] = 6
+    assert main(["--config", write_config(tmp_path, cfg_dict), "train"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == (
+        "no epoch had a finite validation metric; wrote initialized model"
+    )
+    report = (tmp_path / "run" / "report.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in report[1:]] == ["inf", "inf"]
 
 
 def test_eval_on_own_training_data(tmp_path, small_csvs, capsys):
@@ -620,6 +654,25 @@ def test_compare_all_variants_budget_zero(tmp_path, small_csvs):
     assert len(lines) == 6  # header + five variants
     for variant in ("encoder-overlap", "parameter-init-OE"):
         assert (out / f"curve_{variant}.csv").exists()
+
+
+def test_compare_divergence_exit_code(tmp_path, small_csvs, capsys):
+    # both variants diverge; every output is still written, then exit 3
+    out = tmp_path / "cmp"
+    cfg_dict = train_cfg_dict(small_csvs, out, max_epochs=10, learning_rate=1e200)
+    variants = ["encoder-overlap", "parameter-init-overlap"]
+    cfg_dict["compare"] = {"variants": variants}
+    assert main(["--config", write_config(tmp_path, cfg_dict), "compare"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for variant, line in zip(variants, err):
+        assert re.fullmatch(
+            rf"{variant}: training diverged: numeric divergence in section "
+            r"starting at \d+ \(step \d+\)",
+            line,
+        )
+        assert (out / f"curve_{variant}.csv").exists()
+    assert len((out / "compare.csv").read_text().splitlines()) == 3
 
 
 def test_compare_unknown_variant(tmp_path, small_csvs):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import linear_toy_model, roll_windows, simulate_linear_toy
+from conftest import first_divergence, linear_toy_model, roll_windows, simulate_linear_toy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +10,7 @@ from reference_tape import ReferenceTape, mlp_flat_grad, mlp_graph, mlp_leaves
 
 from subnet import loss
 from subnet.autodiff import NumericError, Tape, grad_check
+from subnet.data import benchmark_splits
 from subnet.loss import (
     EmptyIndexSetError,
     batch_iter,
@@ -19,6 +20,8 @@ from subnet.loss import (
     valid_starts,
 )
 from subnet.model import build_model
+from subnet.nets import mlp_forward
+from subnet.optim import fit_normalization
 
 NOISES = ["output-error", "linear-innovation", "general-innovation"]
 
@@ -395,6 +398,109 @@ def test_numeric_error_names_section():
                                  states, 8)
     assert str(err.value) == "numeric divergence in section starting at 0 (step 2)"
     assert err.value.index == 0
+
+
+def _raises_numeric_error(fn, *args, **kwargs):
+    """The `NumericError` that `fn` raises with every warning an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as err:
+            fn(*args, **kwargs)
+    return err.value
+
+
+def _section_named(err, start, step):
+    assert str(err) == f"numeric divergence in section starting at {start} (step {step})"
+    assert err.index == start
+
+
+def test_numeric_error_names_earliest_step_before_lowest_row():
+    # the second section's state 1e150 overflows at step 1, before the
+    # first section's state 5 does at step 2
+    model = linear_toy_model(a=1e200)
+    u = np.ones((30, 1))
+    y = np.zeros((30, 1))
+    states = np.array([[5.0], [1e150]])
+    err = _raises_numeric_error(trainable_state_loss, model, u, y, np.array([0, 10]),
+                                np.array([0, 1]), states, 8)
+    _section_named(err, 10, 1)
+
+
+def _benchmark_batch():
+    """The default model, the normalized training split of
+    `benchmark_splits(3)` and the first B=256 batch of its T=40 sections."""
+    train, _val, _test = benchmark_splits(3)
+    norm = fit_normalization(train)
+    model = build_model(4, 1, 1, 10, 10, norm=norm)
+    starts = next(batch_iter(valid_starts(len(train), 40, 10, 10), 256, 0, 0))
+    return model, norm.norm_u(train.u), norm.norm_y(train.y), starts
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
+@pytest.mark.parametrize("bias", [1e160, 1e308])
+def test_overflowing_squared_error_names_section(bias, with_grad):
+    # h's output bias makes every prediction finite but its squared error
+    # not, from step 0 in every row: the first row's section is named
+    model, u, y, starts = _benchmark_batch()
+    model.h_params.layers[-1][1][:] = bias
+    err = _raises_numeric_error(encoder_loss, model, u, y, starts, 40,
+                                with_grad=with_grad)
+    _section_named(err, starts[0], 0)
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_one_diverging_row_of_256_is_named(with_grad):
+    # row 137's state 1e200 keeps its predictions finite, but their squared
+    # errors overflow at step 0; every other state is zero
+    model, u, y, starts = _benchmark_batch()
+    states = np.zeros((256, 4))
+    states[137] = 1e200
+    err = _raises_numeric_error(trainable_state_loss, model, u, y, starts,
+                                np.arange(256), states, 40, with_grad=with_grad)
+    _section_named(err, starts[137], 0)
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_overflowing_encoder_names_section_at_step_0(with_grad):
+    # psi's output layer overflows in its matmul on both paths, silently;
+    # the first non-finite state's section diverges at step 0
+    model, u, y, starts = _benchmark_batch()
+    model.psi_params.layers[-1][0][:] = 1e308
+    u_enc, y_enc = loss._enc_windows(u, y, starts, 10, 10)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0 = mlp_forward(model.psi_spec, model.psi_params,
+                         np.concatenate([u_enc[:, :, 0], y_enc[:, :, 0]], axis=1))
+    row = np.flatnonzero(~np.isfinite(x0).all(axis=1))[0]
+    err = _raises_numeric_error(encoder_loss, model, u, y, starts, 40,
+                                with_grad=with_grad)
+    _section_named(err, starts[row], 0)
+
+
+@pytest.mark.parametrize("noise", NOISES)
+def test_divergence_located_in_batch_matches_per_row_reruns(noise):
+    # f's bypass at 1e80 times its Xavier value multiplies the state by
+    # about 1e80 a step, so states of 1 to 1e280 overflow at steps 1 to 4;
+    # each row's own B=1 rollout is the reference
+    model = build_model(2, 1, 1, 2, 2, noise=noise, hidden_layers=1, hidden_width=8,
+                        seed=3)
+    model.f_params.view("bypass")[:] *= 1e80
+    if noise == "linear-innovation":
+        model.noise.gain[:] = 0.1
+    rng = np.random.default_rng(3)
+    b, horizon = 64, 6
+    u = rng.normal(size=(200, 1))
+    y = rng.normal(size=(200, 1))
+    starts = np.arange(b) * 2
+    states = rng.normal(size=(b, 2)) * 10.0 ** rng.choice([0, 70, 140, 210, 280], (b, 1))
+    u_roll, y_roll = roll_windows(u, y, starts, horizon)
+    step, row = first_divergence(model, states, u_roll, y_roll)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError) as err:
+            model.rollout_batch(states, u_roll, y_roll)
+    assert (err.value.index, err.value.row) == (step, row)
+    err = _raises_numeric_error(trainable_state_loss, model, u, y, starts,
+                                np.arange(b), states, horizon)
+    _section_named(err, starts[row], step)
 
 
 @pytest.mark.parametrize("batch", [1, 7])

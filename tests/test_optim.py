@@ -175,7 +175,7 @@ def test_divergence_flagged_and_loop_stops():
     index_set = valid_starts(20, 2, 1, 1)
     config = TrainConfig(**{**TINY, "max_epochs": 10})
     best, report = run_training_loop(blocks, loss_grad_fn, lambda: 0.0, index_set, config)
-    assert report.diverged
+    assert report.diverged == "boom"
     assert report.epochs_run == 0
     assert np.array_equal(best["w"], np.zeros(2))
 
