@@ -10,19 +10,20 @@ regardless of batch size.
 
 `encoder_loss` and `trainable_state_loss` are one section loss over two
 sources of initial states: the encoder psi over each section's past
-window, or rows of a trainable bank with one state per section. The loss
-runs its forward pass through `SubnetModel.rollout_batch`, the same
-rollout that `simulate` and `kstep_predictions` use, with a cache of the
-per-step states, f inputs and hidden activations; its gradient is a
-hand-written backpropagation through time (the adjoint form of a
-simulation loss): a reverse-time loop over the state adjoint, then one
-matmul per weight block over all steps. The state adjoint of step 0 then
-passes back through the source: through psi's hand backward, or summed
-into the bank rows with `np.add.at`. The tape only chains these nodes:
-one leaf per trainable block, the source node and the rollout node. A
-divergence names the section and step of the batch's earliest non-finite
-prediction (a non-finite initial state's is at step 0), or else squared
-error, lowest row first, from one scan of the batch that diverged.
+window, or rows of a trainable bank with one state per section. Each
+gradient is derived by hand. The loss runs its forward pass through
+`SubnetModel.rollout_batch`, the same rollout that `simulate` and
+`kstep_predictions` use, with a cache of the per-step states, f inputs and
+hidden activations; its gradient is a hand-written backpropagation through
+time (the adjoint form of a simulation loss): a reverse-time loop over the
+state adjoint, then one matmul per weight block over all steps. The
+state adjoint of step 0 then passes back through the source: through
+psi's hand backward, or summed into the bank rows with `np.add.at`. The
+tape only chains these nodes: one leaf per trainable block, the source
+node and the rollout node. A divergence names the section and step of
+the batch's earliest non-finite prediction (a non-finite initial state's
+is at step 0), or else squared error, lowest row first, from one scan of
+the batch that diverged.
 
 Every (T, B, .) buffer of that gradient path, the rollout cache and the
 adjoint buffers alike, is a view of one module-level workspace buffer per
@@ -151,10 +152,11 @@ def _rows(a):
 
 def _first_nonfinite(a):
     """(step, row) of a (B, T, n) array's earliest non-finite entry, lowest
-    row first, or None."""
-    bad = ~np.isfinite(a).all(axis=2)
-    k = int(np.argmax(bad.any(axis=0)))
-    return (k, int(np.argmax(bad[:, k]))) if bad[:, k].any() else None
+    row first, or None. Only a failed scan looks for the row."""
+    steps = np.isfinite(a).all(axis=(0, 2))
+    k = int(np.argmin(steps))
+    if not steps[k]:
+        return k, int(np.argmin(np.isfinite(a[:, k]).all(axis=1)))
 
 
 def _rollout_value(model, u_roll, y_roll, x0, starts, cache=None):

@@ -321,8 +321,7 @@ class SubnetModel:
                     x += e_hat[:, k] @ self.noise.gain.T
         where = _first_nonfinite(y_hat)
         if where is not None:
-            k, row = where
-            raise NumericError(f"non-finite prediction at step {k}", index=k, row=row)
+            raise NumericError(f"non-finite prediction at step {where[0]}", *where)
         return y_hat, e_hat
 
     # -- evaluation on raw-unit datasets -------------------------------------
