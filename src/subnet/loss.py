@@ -20,10 +20,9 @@ state adjoint, then one matmul per weight block over all steps. The
 state adjoint of step 0 then passes back through the source: through
 psi's hand backward, or summed into the bank rows with `np.add.at`. The
 tape only chains these nodes: one leaf per trainable block, the source
-node and the rollout node. A divergence names the section and step of
-the batch's earliest non-finite prediction (a non-finite initial state's
-is at step 0), or else squared error, lowest row first, from one scan of
-the batch that diverged.
+node and the rollout node. A divergence names the section and step of the
+batch's earliest non-finite prediction (step 0 for a non-finite initial
+state), or else squared error, lowest row first.
 
 Every (T, B, .) buffer of that gradient path, the rollout cache and the
 adjoint buffers alike, is a view of one module-level workspace buffer per

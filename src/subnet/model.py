@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import NumericError
-from .loss import _CHUNK, _enc_windows, _take, _windows, _first_nonfinite
+from .loss import _CHUNK, _enc_windows, _first_nonfinite, _take, _windows
 from .nets import MlpParams, MlpSpec, init_xavier, mlp_forward
 
 NOISE_STRUCTURES = ("output-error", "linear-innovation", "general-innovation")
