@@ -58,44 +58,66 @@ def free_run_nrms(model, dataset, init):
 
 @dataclass
 class KStepProfile:
+    """The k-step NRMS profile; the predictions it was computed from went
+    to `kstep_nrms`' sink block by block and are not kept."""
+
     values: np.ndarray  # NRMS_{k-step} for k = 0..k_max
     t_idx: np.ndarray  # start times the predictions were made from
-    predictions: np.ndarray  # (len(t_idx), k_max+1, n_y), original units
 
 
-def kstep_nrms(model, dataset, k_max):
+def kstep_nrms(model, dataset, k_max, sink=None):
     """k-step prediction NRMS profile averaged over all valid start times.
 
-    The measured outputs are read through a window view of `dataset.y`
-    (row i, step k is y[t_idx[i] + k]). The squared errors are summed over
-    blocks of `KSTEP_BLOCK` rows in row order, with the sum so far as row 0
-    of each block's reduction, so the only array beside the predictions is
-    one block of errors.
+    `model.kstep_predictions` hands its predictions over one row block at
+    a time, and each block goes on to `sink(lo, block_preds)` when one is
+    given, so no array holds every prediction. The measured outputs are
+    read through a window view of `dataset.y` (row i, step k is
+    y[t_idx[i] + k]). The squared errors are summed over `KSTEP_BLOCK` rows
+    at a time in row order (a merged tail block as one such group and the
+    rest), with the sum so far as row 0 of each group's reduction, so
+    beside a block of predictions stands one group of errors.
     """
     from .model import KSTEP_BLOCK
 
-    t_idx, preds = model.kstep_predictions(dataset, k_max)
-    y_true = _windows(dataset.y, k_max + 1)[t_idx[0] :]  # (num_t, k_max+1, n_y)
+    # numpy reduces axis 0 row by row, so the carried sum keeps the bits of
+    # one sum over all rows; a single column (k_max 0, n_y 1) it sums
+    # pairwise, so that column's errors are gathered and reduced once
+    single = (k_max, dataset.n_y) == (0, 1)
+    err = None
+
+    def add(lo, preds):
+        nonlocal err
+        y_true = _windows(dataset.y, k_max + 1)[model.lag + lo :]
+        with np.errstate(over="ignore"):  # an overflow gives inf, as in `nrms`
+            if single:
+                if err is None:
+                    err = np.empty((len(dataset) - model.lag + 1, 1, 1))
+                sq = err[1 + lo : 1 + lo + len(preds)]
+                np.subtract(preds, y_true[: len(preds)], out=sq)
+                np.square(sq, out=sq)
+            else:
+                if err is None:
+                    err = np.empty((min(KSTEP_BLOCK, len(preds)) + 1,) + preds.shape[1:])
+                for a in range(0, len(preds), KSTEP_BLOCK):
+                    m = min(KSTEP_BLOCK, len(preds) - a)
+                    sq = err[1 : m + 1]
+                    np.subtract(preds[a : a + m], y_true[a : a + m], out=sq)
+                    np.square(sq, out=sq)
+                    err[0] = np.add.reduce(err[: m + 1] if lo + a else sq, axis=0)
+        if sink is not None:
+            sink(lo, preds)
+
+    t_idx, _ = model.kstep_predictions(dataset, k_max, add)
     sigma = dataset.y[model.lag :].std(axis=0)
     if np.any(sigma < 1e-12):
         raise DegenerateSignalError("measured signal std is (near) zero")
-    rows = len(t_idx)
-    # numpy reduces axis 0 row by row, so the carried sum keeps the bits of
-    # one sum over all rows; a single column (k_max 0, n_y 1) it sums
-    # pairwise, so that is reduced as one block
-    block = KSTEP_BLOCK if preds[0].size > 1 else rows
-    err = np.empty((min(block, rows) + 1,) + preds.shape[1:])
-    with np.errstate(over="ignore"):  # an overflow gives inf, as in `nrms`
-        for lo in range(0, rows, block):
-            hi = min(lo + block, rows)
-            sq = err[1 : hi - lo + 1]
-            np.subtract(preds[lo:hi], y_true[lo:hi], out=sq)
-            np.square(sq, out=sq)
-            err[0] = np.add.reduce(err[: hi - lo + 1] if lo else sq, axis=0)
-        mse = err[0] / rows  # (k_max+1, n_y)
+    with np.errstate(over="ignore"):
+        if single:
+            err[0] = np.add.reduce(err[1:], axis=0)
+        mse = err[0] / len(t_idx)  # (k_max+1, n_y)
         per_channel = np.sqrt(mse) / sigma
         values = np.sqrt(np.mean(per_channel**2, axis=1))
-    return KStepProfile(values, t_idx, preds)
+    return KStepProfile(values, t_idx)
 
 
 def g_of_d(spacing, horizon, m_d):

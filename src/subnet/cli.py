@@ -261,8 +261,8 @@ def cmd_train(args, cfg):
     return EXIT_OK
 
 
-# lines per CSV write: at 8192, writing kstep.csv took the eval command's
-# traced peak to 6.9 MiB, above the k-step evaluation's 6.4 MiB
+# lines per CSV write: a chunk's template, values and text stand beside the
+# k-step block being written, so they stay well below its predictions
 _CHUNK_ROWS = 2048
 
 
@@ -271,25 +271,63 @@ def _strings(fmt, values):
     return np.array([fmt % v for v in np.asarray(values).tolist()], dtype=object)
 
 
-def _write_rows(path, header, values, pieces):
-    """Write a header line, then one line per entry of `values`.
+def _write_rows(fh, values, pieces):
+    """Write one line per entry of `values` to the open file `fh`.
 
     Line i joins strings[index(i)] over the (strings, index) pairs of
     `pieces`, where `index` maps an array of line numbers to indices into
-    `strings`, and its one "%.17g" is filled from values[i]. The pieces
-    are formatted once per distinct value, so a chunk of 2048 lines is one
-    template filled by a single `%`, which no piece can upset: none holds
-    another "%". Floats use "%.17g" and lines end in "\r\n", as
-    `csv.writer` would write them; no field here needs quoting. The whole
-    file is never held in memory as one string.
+    `strings`, and its one "%.17g" is filled from values[i]. A chunk of
+    2048 lines is one template filled by a single `%`, which no piece can
+    upset: none holds another "%". Floats use "%.17g" and lines end in
+    "\r\n", as `csv.writer` would write them; no field here needs quoting.
+    Callers format the pieces from only the rows of the block or chunk
+    they pass, once per distinct value, so neither the file nor any
+    string array spans the record.
     """
+    for lo in range(0, len(values), _CHUNK_ROWS):
+        lines = np.arange(lo, min(lo + _CHUNK_ROWS, len(values)))
+        parts = [strings[index(lines)] for strings, index in pieces]
+        template = "".join(np.stack(parts, axis=1).ravel().tolist())
+        fh.write(template % tuple(values[lines].tolist()))
+
+
+def _write_simulation(path, test, sim):
+    # line i of simulation.csv is output channel i % n_y at t = i // n_y
+    n_y = test.n_y
+    y_measured, y_sim = test.y.ravel(), sim.y_sim.ravel()
     with open(path, "w", newline="") as fh:
-        fh.write(header + "\r\n")
-        for lo in range(0, len(values), _CHUNK_ROWS):
-            lines = np.arange(lo, min(lo + _CHUNK_ROWS, len(values)))
-            parts = [strings[index(lines)] for strings, index in pieces]
-            template = "".join(sum(parts[1:], parts[0]).tolist())
-            fh.write(template % tuple(values[lines].tolist()))
+        fh.write("t,y_measured,y_sim\r\n")
+        for lo in range(0, len(y_sim), _CHUNK_ROWS):
+            hi = min(lo + _CHUNK_ROWS, len(y_sim))
+            first = lo % n_y  # the channel of the chunk's first line
+            _write_rows(fh, y_sim[lo:hi], [
+                (_strings("%d,", range(lo // n_y, (hi - 1) // n_y + 1)),
+                 lambda i, first=first: (first + i) // n_y),
+                (_strings("%.17g,%%.17g\r\n", y_measured[lo:hi]), lambda i: i),
+            ])
+
+
+def _kstep_writer(fh, test, lag, k_max):
+    """The sink that writes each k-step block's lines of kstep.csv.
+
+    The lines run start-major, then k, then channel; the y_measured of a
+    line is test.y.ravel()[(t + k) * n_y + channel], so a block of rows
+    starting at t0 reads the (rows + k_max) * n_y values from t0 * n_y on.
+    """
+    n_y, k1 = test.n_y, k_max + 1
+    y_measured = test.y.ravel()
+    k_strings = _strings("%d,%%.17g,", range(k1))
+
+    def write(lo, preds):
+        t0, rows = lag + lo, len(preds)
+        _write_rows(fh, preds.ravel(), [
+            (_strings("%d,", range(t0, t0 + rows)), lambda i: i // (k1 * n_y)),
+            (k_strings, lambda i: i // n_y % k1),
+            (_strings("%.17g\r\n", y_measured[t0 * n_y : (t0 + rows + k_max) * n_y]),
+             lambda i: i // (k1 * n_y) * n_y + i % (k1 * n_y)),
+        ])
+
+    return write
 
 
 def cmd_eval(args, cfg):
@@ -311,37 +349,21 @@ def cmd_eval(args, cfg):
     sim = model.simulate(test)
     test_nrms = analysis.nrms(test.y, sim.y_sim, skip=sim.skip)
     print(f"free-run NRMS: {test_nrms:.6g} ({100 * test_nrms:.4g}%)")
+    _write_simulation(out / "simulation.csv", test, sim)
 
-    # line i of simulation.csv is output channel i % n_y at t = i // n_y
-    n_y = test.n_y
-    _write_rows(
-        out / "simulation.csv",
-        "t,y_measured,y_sim",
-        sim.y_sim.ravel(),
-        [
-            (_strings("%d,", range(len(test))), lambda i: i // n_y),
-            (_strings("%.17g,%%.17g\r\n", test.y.ravel()), lambda i: i),
-        ],
-    )
-
-    # kstep.csv runs start-major, then k, then channel; the y_measured of
-    # a line is test.y.ravel()[(t + k) * n_y + channel]
-    profile = analysis.kstep_nrms(model, test, k_max)
-    k1 = k_max + 1
-    t_idx = profile.t_idx
-    _write_rows(
-        out / "kstep.csv",
-        "t,k,y_hat,y_measured",
-        profile.predictions.ravel(),
-        [
-            (_strings("%d,", t_idx), lambda i: i // (k1 * n_y)),
-            (_strings("%d,%%.17g,", range(k1)), lambda i: i // n_y % k1),
-            (
-                _strings("%.17g\r\n", test.y.ravel()),
-                lambda i: t_idx[i // (k1 * n_y)] * n_y + i % (k1 * n_y),
-            ),
-        ],
-    )
+    # kstep.csv is written block by block as the k-step evaluation runs; a
+    # failed one leaves no file, not a partial one
+    kstep_path = out / "kstep.csv"
+    with open(kstep_path, "w", newline="") as fh:
+        try:
+            fh.write("t,k,y_hat,y_measured\r\n")
+            profile = analysis.kstep_nrms(
+                model, test, k_max, _kstep_writer(fh, test, model.lag, k_max)
+            )
+        except BaseException:
+            fh.close()
+            kstep_path.unlink()
+            raise
     with open(out / "kstep_nrms.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "nrms"])

@@ -22,7 +22,8 @@ psi's hand backward, or summed into the bank rows with `np.add.at`. The
 tape only chains these nodes: one leaf per trainable block, the source
 node and the rollout node. A divergence names the section and step of the
 batch's earliest non-finite prediction (step 0 for a non-finite initial
-state), or else squared error, lowest row first.
+state), or else squared error, or else, when only their mean overflows,
+of the largest squared error: earliest step first, then lowest row.
 
 Every (T, B, .) buffer of that gradient path, the rollout cache and the
 adjoint buffers alike, is a view of one module-level workspace buffer per
@@ -160,7 +161,8 @@ def _first_nonfinite(a):
 
 def _rollout_value(model, u_roll, y_roll, x0, starts, cache=None):
     """The batch rollout loss mean_t v_t from x0 (B, n_x), and e_hat; a
-    non-finite prediction or squared error raises a located `NumericError`."""
+    non-finite prediction, squared error or mean raises a located
+    `NumericError`."""
     try:
         _, e_hat = model.rollout_batch(x0, u_roll, y_roll, cache=cache)
     except NumericError as exc:
@@ -173,8 +175,10 @@ def _rollout_value(model, u_roll, y_roll, x0, starts, cache=None):
         if np.isfinite(value):
             return value, e_hat
         where = _first_nonfinite(sq)
-    if where is None:  # finite squares whose sum overflows
-        raise NumericError("non-finite loss")
+        if where is None:  # finite squares whose mean overflows: the largest
+            largest = (sq == sq.max()).any(axis=2)  # (B, T)
+            k = int(np.argmax(largest.any(axis=0)))
+            where = k, int(np.argmax(largest[:, k]))
     k, start = where[0], int(starts[where[1]])
     raise NumericError(f"numeric divergence in section starting at {start} (step {k})",
                        index=start)

@@ -359,7 +359,7 @@ class SubnetModel:
         y_sim[n:] = self.norm.denorm_y(y_hat[0])
         return SimResult(y_sim=y_sim, skip=n)
 
-    def kstep_predictions(self, dataset, k_max):
+    def kstep_predictions(self, dataset, k_max, sink=None):
         """Teacher-forced k-step predictions from the encoder at every valid start.
 
         Returns (t_indices, preds) with preds[i, k] the prediction of
@@ -373,13 +373,19 @@ class SubnetModel:
         and then the rollout, whose inputs are window views of the
         normalized record (row i, step k is u[t_indices[i] + k]), not
         copies. Under output-error the innovation feeds nothing back, so
-        the rollout runs without y windows. The predictions are then
-        denormalized in place, so memory stays at the (N, k_max+1, n_y)
-        result plus one block. This rule keeps the predictions bit-identical
-        to one rollout over all starts at one BLAS thread; smaller blocks,
-        blocks at other offsets or a kept tail can change their last bits.
-        A non-finite prediction raises `NumericError` at its first step over
-        all blocks; a non-finite encoder state raises at once.
+        the rollout runs without y windows. This rule keeps the predictions
+        bit-identical to one rollout over all starts at one BLAS thread;
+        smaller blocks, blocks at other offsets or a kept tail can change
+        their last bits.
+
+        Each block's rollout output is denormalized in place and handed,
+        not copied, to `sink(lo, block_preds)`: rows lo.. of preds, in row
+        order. With a sink, memory holds one block and `preds` is returned
+        as None; without one, the blocks are gathered into the whole
+        (N, k_max+1, n_y) array. A non-finite prediction raises
+        `NumericError` at its first step over all blocks, and no block after
+        the first failed one reaches the sink; a non-finite encoder state
+        raises at once.
         """
         if k_max < 0:
             raise ValueError("k_max must be >= 0")
@@ -399,22 +405,31 @@ class SubnetModel:
         starts = list(range(0, b, KSTEP_BLOCK))
         if len(starts) > 1 and b - starts[-1] < KSTEP_BLOCK:
             starts.pop()
-        y_hat = np.empty((b, k_max + 1, self.n_y))
+        y_hat = None
+        if sink is None:
+            y_hat = np.empty((b, k_max + 1, self.n_y))
+
+            def sink(lo, preds):
+                y_hat[lo : lo + len(preds)] = preds
+
         error = None
         for lo, hi in zip(starts, starts[1:] + [b]):
             x0 = self.encode(*_enc_windows(u, y, t_idx[lo:hi], self.n_a, self.n_b))
             try:
-                y_hat[lo:hi] = self.rollout_batch(
+                preds = self.rollout_batch(
                     x0, u_roll[lo:hi], None if y_roll is None else y_roll[lo:hi]
                 )[0]
             except NumericError as exc:
                 if error is None or exc.index < error.index:
                     error = exc
+                continue
+            if error is None:
+                with np.errstate(over="ignore", invalid="ignore"):  # as `denorm_y`
+                    preds *= self.norm.y_std
+                    preds += self.norm.y_mean
+                sink(lo, preds)
         if error is not None:
             raise error
-        with np.errstate(over="ignore", invalid="ignore"):  # as `denorm_y`
-            y_hat *= self.norm.y_std
-            y_hat += self.norm.y_mean
         return t_idx, y_hat
 
 

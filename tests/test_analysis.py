@@ -101,7 +101,8 @@ def test_kstep_nrms_bits_match_gathered_formula(n_y, k_max, n):
     ) + 0.1 * rng.normal(size=(n, n_y))
     model = build_model(3, 1, n_y, 4, 4, hidden_layers=1, hidden_width=8, seed=n_y)
     profile = kstep_nrms(model, IoDataset(u, y), k_max)
-    t_idx, preds = profile.t_idx, profile.predictions
+    t_idx, preds = model.kstep_predictions(IoDataset(u, y), k_max)
+    assert np.array_equal(profile.t_idx, t_idx)
     assert np.array_equal(t_idx, np.arange(model.lag, n - k_max))
     mse = np.mean((preds - y[t_idx[:, None] + np.arange(k_max + 1)]) ** 2, axis=0)
     per_channel = np.sqrt(mse) / y[model.lag :].std(axis=0)

@@ -2,14 +2,17 @@ import csv
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from conftest import linear_toy_model
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import subnet.loss
+from subnet.autodiff import NumericError
 from subnet.baselines import VARIANTS
 from subnet.cli import _KEYS, main
 from subnet.data import (
@@ -355,6 +358,111 @@ def test_eval_kstep_csv_spans_write_chunks(tmp_path):
             for k in range(41):
                 writer.writerow([t, k, f"{preds[i, k, 0]:.17g}", f"{test.y[t + k, 0]:.17g}"])
     assert (out / "kstep.csv").read_bytes() == (tmp_path / "kstep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n_y", [2, 3])
+def test_eval_csvs_match_csv_writer_over_blocks(tmp_path, n_y):
+    # 2600 samples at lag 3 and k_max 3 give 2594 starts: a 1024-row k-step
+    # block, then a merged 1570-row tail, each written as it is made. At
+    # n_y 3 a 2048-line chunk of simulation.csv ends inside a time step
+    rng = np.random.default_rng(n_y)
+    test = IoDataset(rng.normal(size=(2600, 1)), rng.normal(size=(2600, n_y)))
+    save_csv(test, tmp_path / "test.csv")
+    model = build_model(2, 1, n_y, 3, 2, hidden_layers=1, hidden_width=6, seed=4)
+    save_model(model, tmp_path / "model.bin")
+    cfg = write_config(
+        tmp_path, {"data": {"test_csv": str(tmp_path / "test.csv"), "n_u": 1, "n_y": n_y}}
+    )
+    out = tmp_path / "eval"
+    assert main(
+        ["--config", cfg, "--out", str(out), "eval",
+         "--checkpoint", str(tmp_path / "model.bin"), "--kmax", "3"]
+    ) == 0
+
+    model = load_model(tmp_path / "model.bin")
+    y_sim = model.simulate(test).y_sim
+    t_idx, preds = model.kstep_predictions(test, 3)
+    with open(tmp_path / "simulation.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "y_measured", "y_sim"])
+        for t in range(len(test)):
+            for ch in range(n_y):
+                writer.writerow([t, f"{test.y[t, ch]:.17g}", f"{y_sim[t, ch]:.17g}"])
+    with open(tmp_path / "kstep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "k", "y_hat", "y_measured"])
+        for i, t in enumerate(t_idx):
+            for k in range(4):
+                for ch in range(n_y):
+                    writer.writerow(
+                        [t, k, f"{preds[i, k, ch]:.17g}", f"{test.y[t + k, ch]:.17g}"]
+                    )
+    for name in ("simulation.csv", "kstep.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def _eval_peak(tmp_path, n_samples):
+    tmp_path.mkdir()
+    test = generate_sim_system(SimSystemConfig(sigma_e=0.05, n_samples=n_samples, seed=5))
+    save_csv(test, tmp_path / "test.csv")
+    save_model(
+        build_model(2, 1, 1, 2, 2, hidden_layers=1, hidden_width=6, seed=4),
+        tmp_path / "model.bin",
+    )
+    cfg = write_config(
+        tmp_path, {"data": {"test_csv": str(tmp_path / "test.csv"), "n_u": 1, "n_y": 1}}
+    )
+    argv = ["--config", cfg, "--out", str(tmp_path / "eval"), "eval",
+            "--checkpoint", str(tmp_path / "model.bin"), "--kmax", "40"]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_eval_memory_does_not_grow_with_samples(tmp_path, capsys):
+    # the k-step predictions pass through eval one block at a time, so 15000
+    # more samples add only the record and its few whole-length arrays
+    # (about 0.12 MiB each). Holding every prediction, as the whole
+    # (N, 41, 1) array and its CSV strings, added about 5.8 MiB
+    small = _eval_peak(tmp_path / "small", 5000)
+    large = _eval_peak(tmp_path / "large", 20000)
+    assert large - small < 2**20
+
+
+@pytest.mark.parametrize("earlier_eval", [False, True])
+def test_eval_kstep_divergence_leaves_no_kstep_csv(tmp_path, capsys, earlier_eval):
+    # the toy x = 1e200 * x + u, y = x, whose encoder returns the newest y:
+    # with u = 0 the free run from y[1] = 0 stays at 0, while the k-step
+    # rows start from y[t]. The second block's row of y[1030] = 1e-150
+    # first fails at step 3, and the third block's row of y[2054] = 1 at
+    # step 2; the blocks before them are already in kstep.csv by then
+    y = np.zeros((3200, 1))
+    y[1030], y[2054] = 1e-150, 1.0
+    ds = IoDataset(np.zeros((3200, 1)), y)
+    save_csv(ds, tmp_path / "test.csv")
+    model = linear_toy_model(a=1e200, exact_encoder=True)
+    save_model(model, tmp_path / "model.bin")
+    with pytest.raises(NumericError) as ref:
+        model.kstep_predictions(ds, 40)
+    cfg = write_config(
+        tmp_path, {"data": {"test_csv": str(tmp_path / "test.csv"), "n_u": 1, "n_y": 1}}
+    )
+    out = tmp_path / "eval"
+    if earlier_eval:
+        save_model(linear_toy_model(a=0.5, exact_encoder=True), tmp_path / "stable.bin")
+        assert main(["--config", cfg, "--out", str(out), "eval",
+                     "--checkpoint", str(tmp_path / "stable.bin"), "--kmax", "40"]) == 0
+        assert (out / "kstep.csv").exists()
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", str(out), "eval",
+                 "--checkpoint", str(tmp_path / "model.bin"), "--kmax", "40"]) == 3
+    assert str(ref.value) == "non-finite prediction at step 2"
+    assert f"numeric divergence: {ref.value}" in capsys.readouterr().err
+    assert (out / "simulation.csv").exists()
+    assert not (out / "kstep.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,6 +118,22 @@ def test_csv_round_trip(tmp_path):
     loaded = load_csv(path, n_u=2, n_y=1)
     assert np.array_equal(ds.u, loaded.u)
     assert np.array_equal(ds.y, loaded.y)
+
+
+def test_load_csv_memory_is_the_arrays(tmp_path):
+    # 40000 rows of u and y are 0.61 MiB of float64: the parse holds one
+    # flat buffer of them. A list of per-row float lists took 7.4 MiB
+    rng = np.random.default_rng(4)
+    ds = IoDataset(rng.normal(size=(40_000, 1)), rng.normal(size=(40_000, 1)))
+    save_csv(ds, tmp_path / "data.csv")
+    tracemalloc.start()
+    try:
+        loaded = load_csv(tmp_path / "data.csv", n_u=1, n_y=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(ds.u, loaded.u) and np.array_equal(ds.y, loaded.y)
+    assert peak < 2 * 2**20
 
 
 def test_csv_header_mismatch_names_missing_column(tmp_path):

@@ -449,6 +449,37 @@ def test_overflowing_squared_error_names_section(bias, with_grad):
 
 
 @pytest.mark.parametrize("with_grad", [False, True])
+@pytest.mark.parametrize("bias", [3e152, 1e154])
+def test_overflowing_mean_of_finite_squares_names_section(bias, with_grad):
+    # every squared error is finite, but their mean overflows (at 1e152 it
+    # is a finite 1e304): each prediction rounds to the bias, so all squares
+    # tie and the largest one's earliest step and lowest row are the first
+    # row's step 0
+    model, u, y, starts = _benchmark_batch()
+    model.h_params.layers[-1][1][:] = bias
+    x0 = model.encode(*loss._enc_windows(u, y, starts, 10, 10))
+    y_hat, _ = model.rollout_batch(x0, *roll_windows(u, y, starts, 40)[:1])
+    with np.errstate(over="ignore"):
+        assert np.isfinite((y[starts[:, None] + np.arange(40)] - y_hat) ** 2).all()
+    err = _raises_numeric_error(encoder_loss, model, u, y, starts, 40,
+                                with_grad=with_grad)
+    _section_named(err, starts[0], 0)
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
+def test_overflowing_mean_names_largest_squared_error(with_grad):
+    # y_hat = 2^k x0 with y = 0: sections 10 and 20 (x0 = 2e151) tie on the
+    # largest square, 4^9 * 4e302, at step 9; each square is finite, but
+    # their sum is not
+    model = linear_toy_model(a=2.0)
+    states = np.array([[1e150], [2e151], [2e151]])
+    err = _raises_numeric_error(trainable_state_loss, model, np.zeros((30, 1)),
+                                np.zeros((30, 1)), np.array([0, 10, 20]),
+                                np.array([0, 1, 2]), states, 10, with_grad=with_grad)
+    _section_named(err, 10, 9)
+
+
+@pytest.mark.parametrize("with_grad", [False, True])
 def test_one_diverging_row_of_256_is_named(with_grad):
     # row 137's state 1e200 keeps its predictions finite, but their squared
     # errors overflow at step 0; every other state is zero
