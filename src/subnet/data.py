@@ -25,7 +25,6 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,27 +215,31 @@ def load_csv(path, n_u, n_y) -> IoDataset:
                 f"{path}: header mismatch, expected {expected}, got {header}"
                 + (f" (missing {missing})" if missing else "")
             )
-        # one flat buffer of doubles: a list of per-row float lists took
-        # 7.4 MiB at 40000 rows, against the arrays' 0.6 MiB
-        values = array("d")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise CsvFormatError(
-                    f"{path}:{lineno}: expected {len(expected)} cells, got {len(row)}"
-                )
-            try:
-                parsed = [float(v) for v in row]
-            except ValueError as exc:
-                raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
-            if not all(map(math.isfinite, parsed)):
-                raise CsvFormatError(f"{path}:{lineno}: non-finite value in {row}")
-            values.extend(parsed)
-    if not values:
+        # one flat array of the cells, filled as they are parsed: a list of
+        # per-row float lists took 7.4 MiB at 40000 rows, against the
+        # arrays' 0.6 MiB
+        values = np.fromiter(_cells(path, reader, len(expected)), dtype=np.float64)
+    if not values.size:
         raise CsvFormatError(f"{path}: no data rows")
-    arr = np.frombuffer(values).reshape(-1, len(expected))
+    arr = values.reshape(-1, len(expected))
     return IoDataset(arr[:, :n_u], arr[:, n_u:])
+
+
+def _cells(path, reader, width):
+    """Every cell of `reader`'s rows as a float, row by row; a bad row
+    raises `CsvFormatError` naming its line."""
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise CsvFormatError(f"{path}:{lineno}: expected {width} cells, got {len(row)}")
+        try:
+            values = [float(v) for v in row]
+        except ValueError as exc:
+            raise CsvFormatError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise CsvFormatError(f"{path}:{lineno}: non-finite value in {row}")
+        yield from values
 
 
 def slice_splits(dataset: IoDataset, train_len, val_len, test_len):
